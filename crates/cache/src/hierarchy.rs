@@ -1,11 +1,13 @@
-//! Two-level inclusive cache hierarchy.
+//! The simulator for a whole [`CacheModel`]: L1 plus an optional
+//! inclusive L2.
 //!
-//! The paper analyzes a single cache level; ROADMAP item 4 asks for the
-//! two-level scenario. This module composes two [`Simulator`]s into an
-//! *inclusive* hierarchy: the L1 miss stream feeds L2, and an L2 eviction
-//! back-invalidates any L1 copy so L1 contents stay a subset of L2's.
-//! Per-level statistics are kept by the level simulators themselves
-//! ([`Hierarchy::l1`] / [`Hierarchy::l2`]).
+//! The paper analyzes a single cache level; the optional second level
+//! composes two [`Simulator`]s into an *inclusive* hierarchy: the L1 miss
+//! stream feeds L2, and an L2 eviction back-invalidates any L1 copy so L1
+//! contents stay a subset of L2's. Per-level statistics are kept by the
+//! level simulators themselves ([`ModelSimulator::l1`] /
+//! [`ModelSimulator::l2`]). Without an L2 the model simulator is exactly
+//! the L1 [`Simulator`].
 //!
 //! Write handling follows the shared [`WritePolicy`]:
 //!
@@ -16,54 +18,47 @@
 //! - **Write-through**: every CPU store is memory traffic (stores
 //!   propagate through all levels), which is exactly L1's write counter.
 
-use crate::config::CacheConfig;
-use crate::policy::{PolicyKind, WritePolicy};
+use crate::model::CacheModel;
+use crate::policy::WritePolicy;
 use crate::sim::{AccessOutcome, Simulator};
 
-/// A two-level inclusive cache hierarchy. Outcomes are classified at L1
-/// (the level the analytic model describes); L2 sees only the L1 miss
-/// stream.
+/// The trace driver for one [`CacheModel`]: any replacement/write policy,
+/// one or two inclusive levels. Outcomes are classified at L1 (the level
+/// the analytic model describes); L2 sees only the L1 miss stream.
 #[derive(Debug, Clone)]
-pub struct Hierarchy {
+pub struct ModelSimulator {
     l1: Simulator,
-    l2: Simulator,
+    l2: Option<Simulator>,
     /// Dirty write-backs that bypassed L2 because the line was no longer
     /// resident there (inclusion races around back-invalidation and the
     /// end-of-run drain). Counted as direct memory traffic.
     escape_writebacks: u64,
 }
 
-impl Hierarchy {
-    /// Builds a cold hierarchy. Both levels share the replacement and
-    /// write policy. The configurations must use the same line and element
-    /// size, with L2 at least as large as L1 — [`CacheModel`] validates
-    /// this before construction.
-    ///
-    /// [`CacheModel`]: crate::CacheModel
-    pub fn new(l1: CacheConfig, l2: CacheConfig, policy: PolicyKind, write: WritePolicy) -> Self {
-        Hierarchy {
-            l1: Simulator::with_policy(l1, policy, write),
-            l2: Simulator::with_policy(l2, policy, write),
+impl ModelSimulator {
+    /// A cold simulator for `model`. Both levels share the replacement and
+    /// write policy; [`CacheModel::with_l2`] has already checked that they
+    /// share line and element size and that L2 can hold L1.
+    pub fn new(model: &CacheModel) -> Self {
+        let level = |cfg| Simulator::with_policy(cfg, model.policy_kind(), model.write_policy());
+        ModelSimulator {
+            l1: level(model.l1()),
+            l2: model.l2().map(level),
             escape_writebacks: 0,
         }
     }
 
-    /// Performs one read access.
-    pub fn access(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, false)
-    }
-
-    /// Performs one write access.
-    pub fn write(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, true)
-    }
-
     /// Performs one access, returning the L1-level outcome.
+    // Inlined into the replay loop, so a single-level model costs what a
+    // bare `Simulator` access does.
+    #[inline]
     pub fn access_kind(&mut self, addr_elems: i64, is_write: bool) -> AccessOutcome {
+        let Some(l2) = &mut self.l2 else {
+            return self.l1.access_traced(addr_elems, is_write).0;
+        };
         let (outcome, l1_evicted) = self.l1.access_traced(addr_elems, is_write);
         if outcome.is_miss() {
-            let (_, l2_evicted) = self.l2.access_traced(addr_elems, is_write);
-            if let Some(ev) = l2_evicted {
+            if let (_, Some(ev)) = l2.access_traced(addr_elems, is_write) {
                 // Inclusion: the line leaves L1 too. A dirty L1 copy is
                 // fresher than anything L2 wrote back, so it goes straight
                 // to memory.
@@ -73,7 +68,7 @@ impl Hierarchy {
             }
         }
         if let Some(ev) = l1_evicted {
-            if ev.dirty && !self.l2.mark_dirty_line(ev.line) {
+            if ev.dirty && !l2.mark_dirty_line(ev.line) {
                 self.escape_writebacks += 1;
             }
         }
@@ -85,37 +80,45 @@ impl Hierarchy {
         &self.l1
     }
 
-    /// The L2 simulator (per-level statistics and geometry).
-    pub fn l2(&self) -> &Simulator {
-        &self.l2
+    /// The L2 simulator, if the model is two-level.
+    pub fn l2(&self) -> Option<&Simulator> {
+        self.l2.as_ref()
     }
 
     /// Write traffic that reached memory so far: L2 write-backs plus
-    /// inclusion escapes under write-back, every CPU store under
-    /// write-through.
+    /// inclusion escapes for a write-back hierarchy, L1's own traffic
+    /// otherwise (every CPU store under write-through).
     pub fn writebacks(&self) -> u64 {
-        match self.l1.write_policy() {
-            WritePolicy::WriteBack => self.l2.writebacks() + self.escape_writebacks,
-            WritePolicy::WriteThrough => self.l1.writebacks(),
+        match &self.l2 {
+            Some(l2) if self.l1.write_policy() == WritePolicy::WriteBack => {
+                l2.writebacks() + self.escape_writebacks
+            }
+            _ => self.l1.writebacks(),
         }
     }
 
-    /// Flushes dirty data at end of run: L1's dirty lines fold into L2
-    /// (escapes counted for lines L2 no longer holds), then L2 drains to
-    /// memory. Cache contents stay resident (clean).
+    /// Flushes dirty data at end of run: with an L2, L1's dirty lines fold
+    /// into it (escapes counted for lines L2 no longer holds) before L2
+    /// drains to memory. Cache contents stay resident (clean).
     pub fn drain_dirty(&mut self) {
+        let Some(l2) = &mut self.l2 else {
+            self.l1.drain_dirty();
+            return;
+        };
         for line in self.l1.take_dirty_lines() {
-            if !self.l2.mark_dirty_line(line) {
+            if !l2.mark_dirty_line(line) {
                 self.escape_writebacks += 1;
             }
         }
-        self.l2.drain_dirty();
+        l2.drain_dirty();
     }
 
-    /// Empties both levels and the cold-line histories.
+    /// Empties every level and the cold-line histories.
     pub fn flush(&mut self) {
         self.l1.flush();
-        self.l2.flush();
+        if let Some(l2) = &mut self.l2 {
+            l2.flush();
+        }
         self.escape_writebacks = 0;
     }
 }
@@ -123,11 +126,16 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheConfig;
 
-    fn h(l1_size: i64, l2_size: i64, assoc: i64) -> Hierarchy {
+    fn h(l1_size: i64, l2_size: i64, assoc: i64) -> ModelSimulator {
         let l1 = CacheConfig::new(l1_size, assoc, 16, 4).unwrap();
         let l2 = CacheConfig::new(l2_size, assoc, 16, 4).unwrap();
-        Hierarchy::new(l1, l2, PolicyKind::Lru, WritePolicy::WriteBack)
+        ModelSimulator::new(&CacheModel::new(l1).with_l2(l2).unwrap())
+    }
+
+    fn l2(hier: &ModelSimulator) -> &Simulator {
+        hier.l2().expect("two-level model")
     }
 
     fn lcg_trace(len: usize, lines: i64) -> Vec<(i64, bool)> {
@@ -148,11 +156,11 @@ mod tests {
         // A unit-stride sweep: L1 misses once per line, L2 sees exactly
         // those misses (all cold there too).
         for a in 0..64 {
-            hier.access(a);
+            hier.access_kind(a, false);
         }
         assert_eq!(hier.l1().misses(), 16); // 64 elems / 4 per line
-        assert_eq!(hier.l2().accesses(), hier.l1().misses());
-        assert_eq!(hier.l2().misses(), 16);
+        assert_eq!(l2(&hier).accesses(), hier.l1().misses());
+        assert_eq!(l2(&hier).misses(), 16);
     }
 
     #[test]
@@ -162,12 +170,12 @@ mod tests {
         let mut hier = h(64, 1024, 1);
         for _ in 0..2 {
             for a in 0..128 {
-                hier.access(a);
+                hier.access_kind(a, false);
             }
         }
         assert!(hier.l1().replacement_misses() > 0);
-        assert_eq!(hier.l2().misses(), 32, "all 32 lines fit L2");
-        assert_eq!(hier.l2().hits(), hier.l2().accesses() - 32);
+        assert_eq!(l2(&hier).misses(), 32, "all 32 lines fit L2");
+        assert_eq!(l2(&hier).hits(), l2(&hier).accesses() - 32);
     }
 
     #[test]
@@ -176,7 +184,7 @@ mod tests {
         for (a, w) in lcg_trace(4000, 200) {
             hier.access_kind(a, w);
             let l2: std::collections::HashSet<i64> =
-                hier.l2().resident_lines().into_iter().collect();
+                l2(&hier).resident_lines().into_iter().collect();
             for line in hier.l1().resident_lines() {
                 assert!(l2.contains(&line), "L1 line {line} missing from L2");
             }
@@ -206,10 +214,11 @@ mod tests {
     fn write_through_counts_every_store() {
         let l1 = CacheConfig::new(64, 1, 16, 4).unwrap();
         let l2 = CacheConfig::new(256, 1, 16, 4).unwrap();
-        let mut hier = Hierarchy::new(l1, l2, PolicyKind::Lru, WritePolicy::WriteThrough);
+        let model = CacheModel::new(l1).write(WritePolicy::WriteThrough);
+        let mut hier = ModelSimulator::new(&model.with_l2(l2).unwrap());
         for a in 0..32 {
-            hier.write(a);
-            hier.access(a);
+            hier.access_kind(a, true);
+            hier.access_kind(a, false);
         }
         hier.drain_dirty();
         assert_eq!(hier.writebacks(), 32);
@@ -218,11 +227,11 @@ mod tests {
     #[test]
     fn flush_resets_both_levels() {
         let mut hier = h(64, 256, 1);
-        hier.write(0);
+        hier.access_kind(0, true);
         hier.flush();
         assert!(hier.l1().resident_lines().is_empty());
-        assert!(hier.l2().resident_lines().is_empty());
-        assert_eq!(hier.access(0), AccessOutcome::ColdMiss);
+        assert!(l2(&hier).resident_lines().is_empty());
+        assert_eq!(hier.access_kind(0, false), AccessOutcome::ColdMiss);
         assert_eq!(hier.writebacks(), 0);
     }
 }

@@ -13,12 +13,14 @@
 //!   classification; true-LRU/write-back by default, with pluggable
 //!   [`PolicyKind`] (FIFO, tree-PLRU) and [`WritePolicy`]
 //!   (write-through/no-allocate) via [`Simulator::with_policy`].
-//! - [`CacheModel`] / [`Hierarchy`] — the generalized machine description
-//!   (policy × write handling × optional inclusive L2) and its two-level
-//!   trace driver; [`simulate_nest_model`] replays a nest under any model.
-//! - [`simulate_nest`] — replays every access of a nest (references in
-//!   statement order within each iteration) and reports per-reference
-//!   [`MissStats`].
+//! - [`CacheModel`] / [`ModelSimulator`] — the generalized machine
+//!   description (policy × write handling × optional inclusive L2) and the
+//!   one simulator that runs it: an L1 [`Simulator`] plus an optional L2.
+//! - [`simulate_nest`], [`simulate_nest_model`] and the other `simulate_*`
+//!   entry points — thin wrappers over one replay loop that walks a nest
+//!   (references in statement order within each iteration) through a
+//!   [`ModelSimulator`] and reports one [`NestSimResult`]: per-reference
+//!   [`MissStats`], memory write traffic, and L2 misses.
 //!
 //! # Example
 //!
@@ -49,13 +51,13 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{CacheConfig, CacheConfigError};
-pub use hierarchy::Hierarchy;
-pub use model::{CacheModel, CacheModelError, ModelSimulator};
+pub use hierarchy::ModelSimulator;
+pub use model::{CacheModel, CacheModelError};
 pub use policy::{Fifo, Lru, Plru, PolicyKind, ReplacementPolicy, WritePolicy};
 pub use sim::{AccessOutcome, Eviction, Simulator};
 pub use stats::MissStats;
 pub use trace::{
     export_din, for_each_access, miss_histogram_by_set, simulate_nest, simulate_nest_model,
-    simulate_nest_model_governed, simulate_nest_outcomes, simulate_sequence, ModelSimResult,
-    NestSimResult, GOVERNED_SIM_CHECK_INTERVAL,
+    simulate_nest_model_governed, simulate_nest_outcomes, simulate_sequence, NestSimResult,
+    GOVERNED_SIM_CHECK_INTERVAL,
 };

@@ -9,9 +9,7 @@
 //! so every pre-model call site keeps its behavior.
 
 use crate::config::{CacheConfig, CacheConfigError};
-use crate::hierarchy::Hierarchy;
 use crate::policy::{PolicyKind, WritePolicy};
-use crate::sim::{AccessOutcome, Simulator};
 use std::fmt;
 
 /// Errors from [`CacheModel::with_l2`].
@@ -183,116 +181,11 @@ impl fmt::Display for CacheModel {
     }
 }
 
-enum Level {
-    One(Simulator),
-    Two(Hierarchy),
-}
-
-impl fmt::Debug for Level {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Level::One(s) => s.fmt(f),
-            Level::Two(h) => h.fmt(f),
-        }
-    }
-}
-
-/// A unified trace driver over single-level and two-level models:
-/// constructs the right simulator for a [`CacheModel`] and exposes the
-/// common access/drain/counter surface. Outcomes are always classified at
-/// L1.
-#[derive(Debug)]
-pub struct ModelSimulator {
-    inner: Level,
-}
-
-impl ModelSimulator {
-    /// A cold simulator for `model`.
-    pub fn new(model: &CacheModel) -> Self {
-        let inner = match model.l2() {
-            Some(l2) => Level::Two(Hierarchy::new(
-                model.l1(),
-                l2,
-                model.policy_kind(),
-                model.write_policy(),
-            )),
-            None => Level::One(Simulator::with_policy(
-                model.l1(),
-                model.policy_kind(),
-                model.write_policy(),
-            )),
-        };
-        ModelSimulator { inner }
-    }
-
-    /// Performs one read access (L1-level outcome).
-    pub fn access(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, false)
-    }
-
-    /// Performs one write access (L1-level outcome).
-    pub fn write(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, true)
-    }
-
-    /// Performs one access (L1-level outcome).
-    pub fn access_kind(&mut self, addr_elems: i64, is_write: bool) -> AccessOutcome {
-        match &mut self.inner {
-            Level::One(sim) => {
-                if is_write {
-                    sim.write(addr_elems)
-                } else {
-                    sim.access(addr_elems)
-                }
-            }
-            Level::Two(hier) => hier.access_kind(addr_elems, is_write),
-        }
-    }
-
-    /// Number of accesses simulated (CPU-side, i.e. at L1).
-    pub fn accesses(&self) -> u64 {
-        match &self.inner {
-            Level::One(sim) => sim.accesses(),
-            Level::Two(hier) => hier.l1().accesses(),
-        }
-    }
-
-    /// Write traffic that reached memory.
-    pub fn writebacks(&self) -> u64 {
-        match &self.inner {
-            Level::One(sim) => sim.writebacks(),
-            Level::Two(hier) => hier.writebacks(),
-        }
-    }
-
-    /// Total L2 misses, if the model is two-level.
-    pub fn l2_misses(&self) -> Option<u64> {
-        match &self.inner {
-            Level::One(_) => None,
-            Level::Two(hier) => Some(hier.l2().misses()),
-        }
-    }
-
-    /// Flushes remaining dirty data to memory (end of run).
-    pub fn drain_dirty(&mut self) {
-        match &mut self.inner {
-            Level::One(sim) => sim.drain_dirty(),
-            Level::Two(hier) => hier.drain_dirty(),
-        }
-    }
-
-    /// Empties the model cache(s) and the cold-line histories.
-    pub fn flush(&mut self) {
-        match &mut self.inner {
-            Level::One(sim) => sim.flush(),
-            Level::Two(hier) => hier.flush(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{AccessOutcome, Simulator};
+    use crate::ModelSimulator;
 
     #[test]
     fn baseline_matches_plain_simulator() {
@@ -314,7 +207,7 @@ mod tests {
         plain.drain_dirty();
         modeled.drain_dirty();
         assert_eq!(modeled.writebacks(), plain.writebacks());
-        assert_eq!(modeled.l2_misses(), None);
+        assert!(modeled.l2().is_none());
     }
 
     #[test]
@@ -364,13 +257,13 @@ mod tests {
         let mut sim = ModelSimulator::new(&model);
         for _ in 0..2 {
             for a in 0..128 {
-                sim.access(a);
+                sim.access_kind(a, false);
             }
         }
-        assert_eq!(sim.accesses(), 256);
-        assert_eq!(sim.l2_misses(), Some(32));
+        assert_eq!(sim.l1().accesses(), 256);
+        assert_eq!(sim.l2().map(Simulator::misses), Some(32));
         sim.flush();
-        assert_eq!(sim.access(0), AccessOutcome::ColdMiss);
+        assert_eq!(sim.access_kind(0, false), AccessOutcome::ColdMiss);
     }
 
     #[test]

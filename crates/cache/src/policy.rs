@@ -24,8 +24,11 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// Records a hit on `way` of `set`.
     fn touch(&mut self, set: usize, way: usize);
 
-    /// Records a line newly installed in `way` of `set`.
-    fn fill(&mut self, set: usize, way: usize);
+    /// Records a line newly installed in `way` of `set` (by default, the
+    /// same update as a hit).
+    fn fill(&mut self, set: usize, way: usize) {
+        self.touch(set, way);
+    }
 
     /// The way a full `set` should evict next.
     fn victim(&mut self, set: usize) -> usize;
@@ -62,23 +65,15 @@ impl Lru {
             stacks: vec![Vec::new(); num_sets],
         }
     }
+}
 
-    fn promote(&mut self, set: usize, way: usize) {
+impl ReplacementPolicy for Lru {
+    fn touch(&mut self, set: usize, way: usize) {
         let stack = &mut self.stacks[set];
         if let Some(pos) = stack.iter().position(|&w| w == way as u32) {
             stack.remove(pos);
         }
         stack.insert(0, way as u32);
-    }
-}
-
-impl ReplacementPolicy for Lru {
-    fn touch(&mut self, set: usize, way: usize) {
-        self.promote(set, way);
-    }
-
-    fn fill(&mut self, set: usize, way: usize) {
-        self.promote(set, way);
     }
 
     fn victim(&mut self, set: usize) -> usize {
@@ -86,9 +81,7 @@ impl ReplacementPolicy for Lru {
     }
 
     fn reset(&mut self) {
-        for stack in &mut self.stacks {
-            stack.clear();
-        }
+        self.stacks.iter_mut().for_each(Vec::clear);
     }
 
     fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
@@ -132,9 +125,7 @@ impl ReplacementPolicy for Fifo {
     }
 
     fn reset(&mut self) {
-        for n in &mut self.next {
-            *n = 0;
-        }
+        self.next.fill(0);
     }
 
     fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
@@ -171,8 +162,11 @@ impl Plru {
             levels: leaves.trailing_zeros(),
         }
     }
+}
 
-    fn point_away(&mut self, set: usize, way: usize) {
+impl ReplacementPolicy for Plru {
+    /// Points every bit on `way`'s root-to-leaf path away from it.
+    fn touch(&mut self, set: usize, way: usize) {
         let base = set * (self.leaves - 1);
         let mut idx = 0usize;
         for level in (0..self.levels).rev() {
@@ -180,16 +174,6 @@ impl Plru {
             self.bits[base + idx] = dir == 0;
             idx = 2 * idx + 1 + dir;
         }
-    }
-}
-
-impl ReplacementPolicy for Plru {
-    fn touch(&mut self, set: usize, way: usize) {
-        self.point_away(set, way);
-    }
-
-    fn fill(&mut self, set: usize, way: usize) {
-        self.point_away(set, way);
     }
 
     fn victim(&mut self, set: usize) -> usize {
@@ -205,9 +189,7 @@ impl ReplacementPolicy for Plru {
     }
 
     fn reset(&mut self) {
-        for b in &mut self.bits {
-            *b = false;
-        }
+        self.bits.fill(false);
     }
 
     fn clone_box(&self) -> Box<dyn ReplacementPolicy> {

@@ -117,7 +117,7 @@ impl Simulator {
 
     /// Performs one read access to an element address.
     pub fn access(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, false)
+        self.access_traced(addr_elems, false).0
     }
 
     /// Performs one write access. Under the default write-back /
@@ -126,15 +126,11 @@ impl Simulator {
     /// no-allocate, the store is counted as memory write traffic and a
     /// store miss does not install the line.
     pub fn write(&mut self, addr_elems: i64) -> AccessOutcome {
-        self.access_kind(addr_elems, true)
-    }
-
-    fn access_kind(&mut self, addr_elems: i64, is_write: bool) -> AccessOutcome {
-        self.access_traced(addr_elems, is_write).0
+        self.access_traced(addr_elems, true).0
     }
 
     /// Performs one access and additionally reports the line it displaced,
-    /// if any — the hook a multi-level [`Hierarchy`](crate::Hierarchy)
+    /// if any — the hook a two-level [`ModelSimulator`](crate::ModelSimulator)
     /// uses to absorb write-backs and maintain inclusion.
     pub fn access_traced(
         &mut self,
@@ -215,18 +211,8 @@ impl Simulator {
     /// inner cache level). Returns whether the line was resident.
     pub fn mark_dirty_line(&mut self, line: i64) -> bool {
         let set = self.config.set_of_line(line) as usize;
-        match self.slots[set]
-            .iter_mut()
-            .find(|s| s.map(|(l, _)| l) == Some(line))
-        {
-            Some(slot) => {
-                if let Some(s) = slot.as_mut() {
-                    s.1 = true;
-                }
-                true
-            }
-            None => false,
-        }
+        let slot = self.slots[set].iter_mut().flatten().find(|s| s.0 == line);
+        slot.map(|s| s.1 = true).is_some()
     }
 
     /// The memory lines currently resident, in no particular order.
@@ -244,9 +230,7 @@ impl Simulator {
     /// (Section 3.1); call this between nests to match.
     pub fn flush(&mut self) {
         for set in &mut self.slots {
-            for slot in set.iter_mut() {
-                *slot = None;
-            }
+            set.fill(None);
         }
         self.policy.reset();
         self.seen.clear();
@@ -288,13 +272,7 @@ impl Simulator {
     /// Flushes every resident dirty line, counting the final write-backs;
     /// the cache contents stay resident (clean).
     pub fn drain_dirty(&mut self) {
-        for set in &mut self.slots {
-            for slot in set.iter_mut().flatten() {
-                if std::mem::take(&mut slot.1) {
-                    self.writebacks += 1;
-                }
-            }
-        }
+        self.writebacks += self.take_dirty_lines().len() as u64;
     }
 
     /// Clears every dirty bit *without* counting write-backs and returns

@@ -1,28 +1,34 @@
-//! Trace generation: replaying a loop nest through the simulator.
+//! Trace replay: walking a loop nest through the simulator.
 //!
 //! The access trace of a nest is fully determined by its iteration space
 //! (walked in lexicographic order) and the statement order of its references
 //! within each iteration — exactly the order the CME windowing logic
-//! assumes.
+//! assumes. Every simulating entry point here is a thin wrapper over one
+//! private replay loop driving one [`ModelSimulator`], and every one of
+//! them reports a [`NestSimResult`].
 
 use crate::config::CacheConfig;
-use crate::model::{CacheModel, ModelSimulator};
-use crate::sim::Simulator;
+use crate::hierarchy::ModelSimulator;
+use crate::model::CacheModel;
+use crate::sim::{AccessOutcome, Simulator};
 use crate::stats::MissStats;
-use cme_ir::{LoopNest, RefId};
+use cme_ir::{AccessKind, LoopNest, RefId};
 use std::fmt;
 
-/// Per-reference and total simulation results for one nest.
+/// Per-reference and total simulation results for one nest. Outcomes are
+/// classified at L1 (the level the analytic equations describe).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NestSimResult {
     /// Nest name (copied for reporting).
     pub nest_name: String,
     /// One entry per reference, in statement order.
     pub per_ref: Vec<MissStats>,
-    /// Dirty lines written back during the nest (write-allocate model with
-    /// write-back accounting; end-of-run dirty lines are drained for the
-    /// single-nest entry points).
+    /// Write traffic that reached memory during the nest: dirty evictions
+    /// under write-back, every store under write-through. The single-nest
+    /// entry points also drain the lines still dirty at the end.
     pub writebacks: u64,
+    /// Total L2 misses for two-level models; `None` for single-level.
+    pub l2_misses: Option<u64>,
 }
 
 impl NestSimResult {
@@ -51,6 +57,79 @@ impl fmt::Display for NestSimResult {
     }
 }
 
+/// How many accesses [`simulate_nest_model_governed`] replays between two
+/// `keep_going` checks. Coarse enough that the check (typically a governor
+/// checkpoint sampling a clock) stays off the per-access path.
+pub const GOVERNED_SIM_CHECK_INTERVAL: u64 = 4096;
+
+/// The one replay loop: walks `nest` once through `sim`, calling
+/// `visit(ref, point, address, outcome)` for every access and
+/// `keep_going(accesses so far)` every [`GOVERNED_SIM_CHECK_INTERVAL`]
+/// accesses. A `false` from `keep_going` abandons the replay with `None`.
+/// `drain` flushes the dirty lines left at the end into `writebacks`.
+fn replay(
+    sim: &mut ModelSimulator,
+    nest: &LoopNest,
+    drain: bool,
+    mut keep_going: impl FnMut(u64) -> bool,
+    mut visit: impl FnMut(RefId, &[i64], i64, AccessOutcome),
+) -> Option<NestSimResult> {
+    let wb_before = sim.writebacks();
+    let refs: Vec<_> = nest
+        .references()
+        .iter()
+        .map(|r| {
+            let is_write = r.kind() == AccessKind::Write;
+            (r.id(), nest.address_affine(r.id()), is_write)
+        })
+        .collect();
+    let mut per_ref = vec![MissStats::default(); refs.len()];
+    let mut space = nest.space();
+    let (mut done, mut next_check) = (0u64, GOVERNED_SIM_CHECK_INTERVAL);
+    while let Some(p) = space.next_point() {
+        for (rid, af, is_write) in &refs {
+            let addr = af.eval(&p);
+            let outcome = sim.access_kind(addr, *is_write);
+            visit(*rid, &p, addr, outcome);
+            let s = &mut per_ref[rid.index()];
+            s.accesses += 1;
+            match outcome {
+                AccessOutcome::Hit => s.hits += 1,
+                AccessOutcome::ColdMiss => s.cold += 1,
+                AccessOutcome::ReplacementMiss => s.replacement += 1,
+            }
+        }
+        done += refs.len() as u64;
+        if done >= next_check {
+            if !keep_going(done) {
+                return None;
+            }
+            next_check = done + GOVERNED_SIM_CHECK_INTERVAL;
+        }
+    }
+    if drain {
+        sim.drain_dirty();
+    }
+    Some(NestSimResult {
+        nest_name: nest.name().to_string(),
+        per_ref,
+        writebacks: sim.writebacks() - wb_before,
+        l2_misses: sim.l2().map(Simulator::misses),
+    })
+}
+
+/// [`replay`] of one nest from a cold `model` cache, ungoverned.
+fn replay_cold(
+    nest: &LoopNest,
+    model: &CacheModel,
+    visit: impl FnMut(RefId, &[i64], i64, AccessOutcome),
+) -> NestSimResult {
+    let mut sim = ModelSimulator::new(model);
+    replay(&mut sim, nest, true, |_| true, visit).expect(ALWAYS_LIVE)
+}
+
+const ALWAYS_LIVE: &str = "an always-live check never aborts the replay";
+
 /// Replays every access of `nest` (from a cold cache) through an LRU
 /// simulator with the given geometry and returns per-reference statistics.
 ///
@@ -77,93 +156,20 @@ impl fmt::Display for NestSimResult {
 /// # Ok::<(), cme_cache::CacheConfigError>(())
 /// ```
 pub fn simulate_nest(nest: &LoopNest, config: CacheConfig) -> NestSimResult {
-    let mut sim = Simulator::new(config);
-    let mut result = run_nest(&mut sim, nest);
-    sim.drain_dirty();
-    result.writebacks = sim.writebacks();
-    result
-}
-
-/// Replays one nest through an existing simulator (shared by
-/// [`simulate_nest`] and [`simulate_sequence`]).
-fn run_nest(sim: &mut Simulator, nest: &LoopNest) -> NestSimResult {
-    let nrefs = nest.references().len();
-    let mut per_ref = vec![MissStats::default(); nrefs];
-    let wb_before = sim.writebacks();
-    // Precompute address affine forms and access kinds for speed.
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (nest.address_affine(r.id()), r.kind()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (rid, (af, kind)) in addr_fns.iter().enumerate() {
-            let addr = af.eval(&p);
-            let outcome = match kind {
-                cme_ir::AccessKind::Read => sim.access(addr),
-                cme_ir::AccessKind::Write => sim.write(addr),
-            };
-            let s = &mut per_ref[rid];
-            s.accesses += 1;
-            match outcome {
-                crate::sim::AccessOutcome::Hit => s.hits += 1,
-                crate::sim::AccessOutcome::ColdMiss => s.cold += 1,
-                crate::sim::AccessOutcome::ReplacementMiss => s.replacement += 1,
-            }
-        }
-    }
-    NestSimResult {
-        nest_name: nest.name().to_string(),
-        per_ref,
-        writebacks: sim.writebacks() - wb_before,
-    }
-}
-
-/// Per-reference simulation results for one nest under an arbitrary
-/// [`CacheModel`]. Outcomes are classified at L1 (the level the analytic
-/// equations describe); `writebacks` is the write traffic that reached
-/// memory, and `l2_misses` is present for two-level models.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelSimResult {
-    /// Nest name (copied for reporting).
-    pub nest_name: String,
-    /// One entry per reference, in statement order, classified at L1.
-    pub per_ref: Vec<MissStats>,
-    /// Write traffic that reached memory (dirty evictions + end-of-run
-    /// drain under write-back; every store under write-through).
-    pub writebacks: u64,
-    /// Total L2 misses for two-level models; `None` for single-level.
-    pub l2_misses: Option<u64>,
-}
-
-impl ModelSimResult {
-    /// Aggregate statistics over all references.
-    pub fn total(&self) -> MissStats {
-        self.per_ref.iter().copied().sum()
-    }
+    replay_cold(nest, &CacheModel::new(config), |_, _, _, _| {})
 }
 
 /// Replays every access of `nest` (from a cold state) through the
 /// simulator a [`CacheModel`] describes — any replacement/write policy,
-/// one or two levels — and returns per-reference L1 statistics plus the
-/// model's memory write traffic.
+/// one or two levels — and returns per-reference L1 statistics, the
+/// model's memory write traffic and, for two-level models, the L2 misses.
 ///
-/// For the baseline model this agrees exactly with [`simulate_nest`]
-/// (same counts, same write-backs); it is the ground-truth driver for the
-/// engine's simulator-backed classify path and diffcheck's bound-semantics
-/// verdicts.
-pub fn simulate_nest_model(nest: &LoopNest, model: &CacheModel) -> ModelSimResult {
-    match simulate_nest_model_governed(nest, model, |_| true) {
-        Some(result) => result,
-        None => unreachable!("an always-live check never aborts the replay"),
-    }
+/// For the baseline model this is exactly [`simulate_nest`]; it is the
+/// ground-truth driver for the engine's simulator-backed classify path
+/// and diffcheck's bound-semantics verdicts.
+pub fn simulate_nest_model(nest: &LoopNest, model: &CacheModel) -> NestSimResult {
+    replay_cold(nest, model, |_, _, _, _| {})
 }
-
-/// How many accesses [`simulate_nest_model_governed`] replays between two
-/// `keep_going` checks. Coarse enough that the check (typically a governor
-/// checkpoint sampling a clock) stays off the per-access path.
-pub const GOVERNED_SIM_CHECK_INTERVAL: u64 = 4096;
 
 /// [`simulate_nest_model`] with a cooperative abort hook: `keep_going` is
 /// called with the running access count every
@@ -176,47 +182,10 @@ pub const GOVERNED_SIM_CHECK_INTERVAL: u64 = 4096;
 pub fn simulate_nest_model_governed(
     nest: &LoopNest,
     model: &CacheModel,
-    mut keep_going: impl FnMut(u64) -> bool,
-) -> Option<ModelSimResult> {
+    keep_going: impl FnMut(u64) -> bool,
+) -> Option<NestSimResult> {
     let mut sim = ModelSimulator::new(model);
-    let nrefs = nest.references().len();
-    let mut per_ref = vec![MissStats::default(); nrefs];
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (nest.address_affine(r.id()), r.kind()))
-        .collect();
-    let mut space = nest.space();
-    let mut done: u64 = 0;
-    let mut next_check = GOVERNED_SIM_CHECK_INTERVAL;
-    while let Some(p) = space.next_point() {
-        for (rid, (af, kind)) in addr_fns.iter().enumerate() {
-            let addr = af.eval(&p);
-            let is_write = matches!(kind, cme_ir::AccessKind::Write);
-            let outcome = sim.access_kind(addr, is_write);
-            let s = &mut per_ref[rid];
-            s.accesses += 1;
-            match outcome {
-                crate::sim::AccessOutcome::Hit => s.hits += 1,
-                crate::sim::AccessOutcome::ColdMiss => s.cold += 1,
-                crate::sim::AccessOutcome::ReplacementMiss => s.replacement += 1,
-            }
-        }
-        done += nrefs as u64;
-        if done >= next_check {
-            if !keep_going(done) {
-                return None;
-            }
-            next_check = done + GOVERNED_SIM_CHECK_INTERVAL;
-        }
-    }
-    sim.drain_dirty();
-    Some(ModelSimResult {
-        nest_name: nest.name().to_string(),
-        per_ref,
-        writebacks: sim.writebacks(),
-        l2_misses: sim.l2_misses(),
-    })
+    replay(&mut sim, nest, true, keep_going, |_, _, _, _| {})
 }
 
 /// Replays every access of `nest` (from a cold cache) and calls
@@ -256,40 +225,11 @@ pub fn simulate_nest_model_governed(
 pub fn simulate_nest_outcomes(
     nest: &LoopNest,
     config: CacheConfig,
-    mut visit: impl FnMut(RefId, &[i64], crate::sim::AccessOutcome),
+    mut visit: impl FnMut(RefId, &[i64], AccessOutcome),
 ) -> NestSimResult {
-    let mut sim = Simulator::new(config);
-    let nrefs = nest.references().len();
-    let mut per_ref = vec![MissStats::default(); nrefs];
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| (r.id(), nest.address_affine(r.id()), r.kind()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (rid, af, kind) in &addr_fns {
-            let addr = af.eval(&p);
-            let outcome = match kind {
-                cme_ir::AccessKind::Read => sim.access(addr),
-                cme_ir::AccessKind::Write => sim.write(addr),
-            };
-            visit(*rid, &p, outcome);
-            let s = &mut per_ref[rid.index()];
-            s.accesses += 1;
-            match outcome {
-                crate::sim::AccessOutcome::Hit => s.hits += 1,
-                crate::sim::AccessOutcome::ColdMiss => s.cold += 1,
-                crate::sim::AccessOutcome::ReplacementMiss => s.replacement += 1,
-            }
-        }
-    }
-    sim.drain_dirty();
-    NestSimResult {
-        nest_name: nest.name().to_string(),
-        per_ref,
-        writebacks: sim.writebacks(),
-    }
+    replay_cold(nest, &CacheModel::new(config), |rid, p, _, out| {
+        visit(rid, p, out)
+    })
 }
 
 /// Calls `visit(ref_id, address)` for every access of the nest in execution
@@ -315,8 +255,11 @@ pub fn for_each_access(nest: &LoopNest, mut visit: impl FnMut(RefId, i64)) {
 /// with whatever the earlier ones left in the cache, so their miss counts
 /// are at most what [`simulate_nest`] (cold start) reports.
 pub fn simulate_sequence(nests: &[&LoopNest], config: CacheConfig) -> Vec<NestSimResult> {
-    let mut sim = Simulator::new(config);
-    nests.iter().map(|nest| run_nest(&mut sim, nest)).collect()
+    let mut sim = ModelSimulator::new(&CacheModel::new(config));
+    nests
+        .iter()
+        .map(|nest| replay(&mut sim, nest, false, |_| true, |_, _, _, _| {}).expect(ALWAYS_LIVE))
+        .collect()
 }
 
 /// Per-cache-set miss counts for a nest — the "which sets are hot" view a
@@ -326,22 +269,12 @@ pub fn simulate_sequence(nests: &[&LoopNest], config: CacheConfig) -> Vec<NestSi
 ///
 /// Returns one count per cache set.
 pub fn miss_histogram_by_set(nest: &LoopNest, config: CacheConfig) -> Vec<u64> {
-    let mut sim = Simulator::new(config);
     let mut hist = vec![0u64; config.num_sets() as usize];
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| nest.address_affine(r.id()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for af in &addr_fns {
-            let addr = af.eval(&p);
-            if sim.access(addr).is_miss() {
-                hist[config.cache_set(addr) as usize] += 1;
-            }
+    replay_cold(nest, &CacheModel::new(config), |_, _, addr, out| {
+        if out.is_miss() {
+            hist[config.cache_set(addr) as usize] += 1;
         }
-    }
+    });
     hist
 }
 
@@ -355,7 +288,7 @@ pub fn miss_histogram_by_set(nest: &LoopNest, config: CacheConfig) -> Vec<u64> {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from `out`.
+/// Propagates the first I/O error from `out`.
 ///
 /// # Examples
 ///
@@ -378,26 +311,15 @@ pub fn export_din(
     elem_bytes: i64,
     out: &mut impl std::io::Write,
 ) -> std::io::Result<()> {
-    let kinds: Vec<u8> = nest
-        .references()
-        .iter()
-        .map(|r| match r.kind() {
-            cme_ir::AccessKind::Read => 0,
-            cme_ir::AccessKind::Write => 1,
-        })
-        .collect();
-    let addr_fns: Vec<_> = nest
-        .references()
-        .iter()
-        .map(|r| nest.address_affine(r.id()))
-        .collect();
-    let mut space = nest.space();
-    while let Some(p) = space.next_point() {
-        for (kind, af) in kinds.iter().zip(&addr_fns) {
-            writeln!(out, "{} {:x}", kind, af.eval(&p) * elem_bytes)?;
+    let refs = nest.references();
+    let mut result = Ok(());
+    for_each_access(nest, |rid, addr| {
+        if result.is_ok() {
+            let label = u8::from(refs[rid.index()].kind() == AccessKind::Write);
+            result = writeln!(out, "{label} {:x}", addr * elem_bytes);
         }
-    }
-    Ok(())
+    });
+    result
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 
 use super::Engine;
 use crate::governor::{Budget, CancelToken, Outcome, QueryGovernor};
-use cme_cache::{simulate_nest_model_governed, CacheModel, ModelSimResult};
+use cme_cache::{simulate_nest_model_governed, CacheModel, NestSimResult};
 use cme_ir::LoopNest;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -34,7 +34,7 @@ use std::time::Instant;
 pub struct ModelClassification {
     /// Exact per-reference counts from the trace replay; `None` when the
     /// budget exhausted mid-replay (partial traces are never exposed).
-    pub sim: Option<ModelSimResult>,
+    pub sim: Option<NestSimResult>,
     /// How the governed replay ended. [`Outcome::Complete`] iff `sim` is
     /// `Some`.
     pub outcome: Outcome,
@@ -105,10 +105,9 @@ impl Engine {
         });
         match &sim {
             Some(result) => {
-                let total = result.per_ref.iter().fold(0u64, |acc, s| acc + s.accesses);
                 self.counters
                     .sim_accesses
-                    .fetch_add(total, Ordering::Relaxed);
+                    .fetch_add(result.total().accesses, Ordering::Relaxed);
                 self.counters
                     .sim_writebacks
                     .fetch_add(result.writebacks, Ordering::Relaxed);

@@ -4,8 +4,8 @@
 //! scanned inline.
 //!
 //! Survivor sets are [`SurvivorSet`]s — run-compressed or flat dense,
-//! picked per scan by a density estimate from the reuse plan (or forced
-//! via [`SurvivorRepr`]); both enumerate points in the same
+//! picked per scan by a density estimate from the reuse plan; both
+//! enumerate points in the same
 //! lexicographic order, so the classification is bit-identical either
 //! way. Sets are classified segment-wise, never point by point: along an
 //! innermost run the destination and source lines are floors of affine
@@ -28,7 +28,7 @@ use cme_math::{Affine, Interval};
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
-use crate::pointset::{SurvivorRepr, SurvivorSet};
+use crate::pointset::SurvivorSet;
 use crate::solve::AnalysisOptions;
 
 use super::lower::LoweredNest;
@@ -440,13 +440,7 @@ pub(crate) fn build(
         // once the incoming survivors are at least a 1/Ls fraction of the
         // space — below that, run compression stores the same set in less
         // memory than one bit per space point.
-        let dense = match options.survivor_repr {
-            SurvivorRepr::ForceRuns => false,
-            SurvivorRepr::ForceDense => true,
-            SurvivorRepr::Auto => {
-                examined.saturating_mul(cache.line_elems() as u64) >= total_points
-            }
-        };
+        let dense = examined.saturating_mul(cache.line_elems() as u64) >= total_points;
         let mut cls = RunClassifier {
             space: nest.space(),
             ls: cache.line_elems(),

@@ -163,8 +163,7 @@ pub struct EngineStats {
     /// Largest indeterminate set entering any single reuse vector.
     pub peak_survivors: u64,
     /// Survivor scan sets held in the flat dense representation (picked
-    /// by the density heuristic or forced via
-    /// [`crate::SurvivorRepr::ForceDense`]).
+    /// by the density heuristic).
     pub scan_sets_dense: u64,
     /// Survivor scan sets held run-compressed.
     pub scan_sets_runs: u64,

@@ -1,14 +1,16 @@
 //! Representation-equivalence suite for the cascade scan core: the
 //! survivor/scan sets may be run-compressed or flat dense (picked per
-//! scan by the density heuristic, or forced), and every analysis result
-//! must be bit-identical whichever side each set lands on — across
-//! associativities from direct-mapped to fully associative.
+//! scan by the density heuristic), and every analysis result must be
+//! bit-identical to the uncached reference path whichever side each set
+//! lands on — across associativities from direct-mapped to fully
+//! associative. That both representations enumerate the same points is
+//! checked directly by the `survivor_reprs_are_interchangeable` proptest
+//! in `pointset.rs`.
 
 use cme_cache::CacheConfig;
-use cme_core::solve::AnalysisOptions;
-use cme_core::{Analyzer, SurvivorRepr};
+use cme_core::{Analyzer, EngineStats, NestAnalysis};
 use cme_ir::LoopNest;
-use cme_kernels::{mmult, table1_suite, trans};
+use cme_kernels::{mmult, table1_suite};
 use cme_testgen::{arb_nest, NestDistribution};
 use proptest::prelude::*;
 
@@ -21,33 +23,24 @@ fn assoc_sweep() -> Vec<CacheConfig> {
         .collect()
 }
 
-fn reprs() -> [SurvivorRepr; 3] {
-    [
-        SurvivorRepr::Auto,
-        SurvivorRepr::ForceRuns,
-        SurvivorRepr::ForceDense,
-    ]
+/// Analyzes `nest` in a memoizing session and asserts the result is
+/// bit-identical (including per-reference, per-vector reports) to the
+/// uncached reference path. Returns the session's counters so callers
+/// can check which representations the heuristic picked.
+fn assert_repr_identical(cache: CacheConfig, nest: &LoopNest, label: &str) -> EngineStats {
+    let (analysis, stats) = analyze(cache, nest);
+    let reference = Analyzer::new(cache).caching(false).analyze(nest);
+    assert_eq!(
+        analysis, reference,
+        "{label}: diverged from the uncached path"
+    );
+    stats
 }
 
-/// Runs `nest` under every representation policy on one cache and
-/// asserts all three agree bit-for-bit (including per-reference,
-/// per-vector reports).
-fn assert_repr_identical(cache: CacheConfig, nest: &LoopNest, label: &str) {
-    let mut baseline = None;
-    for repr in reprs() {
-        let opts = AnalysisOptions::builder().survivor_repr(repr).build();
-        let mut analyzer = Analyzer::new(cache).options(opts);
-        let analysis = analyzer.analyze(nest);
-        match &baseline {
-            None => baseline = Some(analysis),
-            Some(b) => assert_eq!(
-                b,
-                &analysis,
-                "{label}: {repr:?} diverged from {:?}",
-                reprs()[0]
-            ),
-        }
-    }
+fn analyze(cache: CacheConfig, nest: &LoopNest) -> (NestAnalysis, EngineStats) {
+    let mut analyzer = Analyzer::new(cache);
+    let analysis = analyzer.analyze(nest);
+    (analysis, analyzer.stats())
 }
 
 #[test]
@@ -55,8 +48,12 @@ fn mmult_is_bit_identical_across_reprs_and_associativity() {
     for cache in assoc_sweep() {
         // N=24 straddles the density threshold: mmult's gap-one vectors
         // leave dense survivor fronts while the stepping vectors leave
-        // sparse ones, so an Auto run mixes both representations.
-        assert_repr_identical(cache, &mmult(24), "mmult N=24");
+        // sparse ones, so one analysis mixes both representations.
+        let stats = assert_repr_identical(cache, &mmult(24), "mmult N=24");
+        assert!(
+            stats.scan_sets_dense > 0 && stats.scan_sets_runs > 0,
+            "{stats}"
+        );
     }
 }
 
@@ -71,59 +68,18 @@ fn table1_kernels_are_bit_identical_across_reprs() {
     }
 }
 
-#[test]
-fn forced_reprs_do_not_share_solve_memo_entries() {
-    // One session, repr flipped between queries: the solve memo must not
-    // hand a ForceDense query a run-compressed artifact (or vice versa).
-    // Results still agree — only the internal representation is keyed.
-    let cache = CacheConfig::new(2048, 2, 32, 4).unwrap();
-    let nest = trans(24);
-    let mut analyzer = Analyzer::new(cache);
-    let runs_opts = AnalysisOptions::builder()
-        .survivor_repr(SurvivorRepr::ForceRuns)
-        .build();
-    let dense_opts = AnalysisOptions::builder()
-        .survivor_repr(SurvivorRepr::ForceDense)
-        .build();
-    let a = analyzer.analyze_with_options(&nest, &runs_opts);
-    let built_after_runs = analyzer.stats().cascades_built;
-    let b = analyzer.analyze_with_options(&nest, &dense_opts);
-    assert_eq!(a, b, "repr flip changed the analysis");
-    assert!(
-        analyzer.stats().cascades_built > built_after_runs,
-        "ForceDense reused a ForceRuns solve set: {}",
-        analyzer.stats()
-    );
-    // Same repr again: now it must reuse.
-    let built_after_dense = analyzer.stats().cascades_built;
-    let c = analyzer.analyze_with_options(&nest, &dense_opts);
-    assert_eq!(a, c);
-    assert_eq!(
-        analyzer.stats().cascades_built,
-        built_after_dense,
-        "warm same-repr query rebuilt its solve set"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random nests, both forced representations and the heuristic, on a
-    /// k-way geometry: all bit-identical.
+    /// Random nests on a k-way geometry: bit-identical to the uncached
+    /// path whichever representations the heuristic picks.
     #[test]
     fn random_nests_are_repr_invariant(
         nest in arb_nest(NestDistribution::default()),
     ) {
         let cache = CacheConfig::new(1024, 4, 32, 4).unwrap();
-        let mut baseline = None;
-        for repr in reprs() {
-            let opts = AnalysisOptions::builder().survivor_repr(repr).build();
-            let mut analyzer = Analyzer::new(cache).options(opts);
-            let analysis = analyzer.analyze(&nest);
-            match &baseline {
-                None => baseline = Some(analysis),
-                Some(b) => prop_assert_eq!(b, &analysis, "{:?} diverged", repr),
-            }
-        }
+        let (analysis, _) = analyze(cache, &nest);
+        let reference = Analyzer::new(cache).caching(false).analyze(&nest);
+        prop_assert_eq!(analysis, reference);
     }
 }

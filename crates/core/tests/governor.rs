@@ -1,32 +1,27 @@
 //! Governor behaviour on the dense cascade path: a tiny budget must
-//! degrade a forced-dense analysis to a sound bound (never panic, never
-//! undercount), and truncated outcomes must never leak into the memo
-//! tables or the persistent artifact store.
+//! degrade an analysis whose scans run on dense survivor sets to a sound
+//! bound (never panic, never undercount), and truncated outcomes must
+//! never leak into the memo tables or the persistent artifact store.
+//!
+//! mmult's first reuse vectors see survivor fronts denser than `1/Ls` of
+//! the space, so the density heuristic stores them as dense sets; each
+//! test asserts the truncated run actually took that path.
 
 use std::sync::Arc;
 
 use cme_cache::CacheConfig;
-use cme_core::solve::AnalysisOptions;
-use cme_core::{Analyzer, ArtifactStore, Budget, SurvivorRepr};
+use cme_core::{Analyzer, ArtifactStore, Budget};
 use cme_kernels::mmult;
-
-fn dense_opts() -> AnalysisOptions {
-    AnalysisOptions::builder()
-        .survivor_repr(SurvivorRepr::ForceDense)
-        .build()
-}
 
 #[test]
 fn tiny_budget_truncates_the_dense_path_to_a_sound_bound() {
     let cache = CacheConfig::new(2048, 4, 32, 4).unwrap();
     let nest = mmult(16);
-    let exact = Analyzer::new(cache).options(dense_opts()).analyze(&nest);
+    let exact = Analyzer::new(cache).analyze(&nest);
 
-    let governed = Analyzer::new(cache)
-        .options(dense_opts())
-        .budget(Budget::unlimited().with_max_solves(50))
-        .try_analyze(&nest)
-        .unwrap();
+    let mut analyzer = Analyzer::new(cache).budget(Budget::unlimited().with_max_solves(50));
+    let governed = analyzer.try_analyze(&nest).unwrap();
+    assert!(analyzer.stats().scan_sets_dense > 0, "{}", analyzer.stats());
     assert!(
         governed.outcome.is_exhausted(),
         "50 solves cannot finish mmult N=16: {:?}",
@@ -45,12 +40,11 @@ fn truncated_dense_scans_are_never_memoized() {
     let nest = mmult(16);
     // A solve budget (not a point ceiling) trips *mid-pipeline*: the
     // first reference's scans still run, truncated by the dead governor.
-    let mut analyzer = Analyzer::new(cache)
-        .options(dense_opts())
-        .budget(Budget::unlimited().with_max_solves(50));
+    let mut analyzer = Analyzer::new(cache).budget(Budget::unlimited().with_max_solves(50));
     let first = analyzer.try_analyze(&nest).unwrap();
     assert!(first.outcome.is_exhausted(), "{:?}", first.outcome);
     let after_first = analyzer.stats();
+    assert!(after_first.scan_sets_dense > 0, "{after_first}");
 
     // A second identical query must redo the truncated work — nothing of
     // a truncated scan may be served from the memo tables.
@@ -73,22 +67,22 @@ fn truncated_dense_scans_are_never_memoized() {
 
 #[test]
 fn truncated_dense_analyses_are_never_persisted() {
-    let dir = std::env::temp_dir().join(format!(
-        "cme-governor-test-{}-{:x}",
-        std::process::id(),
-        std::ptr::from_ref(&dense_opts) as usize
-    ));
+    let dir = std::env::temp_dir().join(format!("cme-governor-test-{}-dense", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
     let cache = CacheConfig::new(2048, 4, 32, 4).unwrap();
     let nest = mmult(16);
 
     let mut truncated = Analyzer::new(cache)
-        .options(dense_opts())
         .budget(Budget::unlimited().with_max_solves(50))
         .store(store.clone());
     let g = truncated.try_analyze(&nest).unwrap();
     assert!(g.outcome.is_exhausted());
+    assert!(
+        truncated.stats().scan_sets_dense > 0,
+        "{}",
+        truncated.stats()
+    );
     assert_eq!(
         truncated.stats().store_writes,
         0,
@@ -97,9 +91,7 @@ fn truncated_dense_analyses_are_never_persisted() {
     assert_eq!(store.entry_count(), 0);
 
     // The same session shape with no budget persists normally.
-    let mut complete = Analyzer::new(cache)
-        .options(dense_opts())
-        .store(store.clone());
+    let mut complete = Analyzer::new(cache).store(store.clone());
     let full = complete.analyze(&nest);
     assert!(complete.stats().store_writes > 0);
     assert!(store.entry_count() > 0);

@@ -231,9 +231,10 @@ impl Client {
         // `conn` was just ensured above; a panic here is unreachable.
         #[allow(clippy::unwrap_used)]
         let conn = self.conn.as_mut().unwrap();
+        // The line and its newline go out in one write, so Nagle never
+        // holds the newline back waiting for the server's delayed ACK.
         let send = (|| -> io::Result<()> {
-            conn.stream.write_all(line.as_bytes())?;
-            conn.stream.write_all(b"\n")?;
+            conn.stream.write_all(format!("{line}\n").as_bytes())?;
             conn.stream.flush()
         })();
         if let Err(e) = send {

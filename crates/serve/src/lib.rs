@@ -539,9 +539,11 @@ impl Server {
                 if line.is_empty() {
                     continue;
                 }
-                let response = self.handle_line(line);
+                // One write per line: a separate `\n` write would sit in
+                // Nagle's buffer until the peer's delayed ACK (~40 ms).
+                let mut response = self.handle_line(line);
+                response.push('\n');
                 stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
                 stream.flush()?;
                 if self.is_shutdown() {
                     return Ok(());
@@ -587,8 +589,7 @@ impl Server {
     /// may not be reading.
     fn write_best_effort<S: Transport>(&self, stream: &mut S, line: &str) {
         let _ = stream.set_write_timeout(Some(BEST_EFFORT_WRITE));
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.write_all(b"\n");
+        let _ = stream.write_all(format!("{line}\n").as_bytes());
         let _ = stream.flush();
     }
 

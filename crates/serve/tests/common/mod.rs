@@ -67,8 +67,9 @@ pub fn roundtrip(addr: SocketAddr, lines: &[String]) -> Vec<String> {
     let mut writer = stream;
     let mut out = Vec::new();
     for line in lines {
-        writer.write_all(line.as_bytes()).expect("send");
-        writer.write_all(b"\n").expect("send newline");
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         writer.flush().expect("flush");
         let mut response = String::new();
         reader.read_line(&mut response).expect("read response");
