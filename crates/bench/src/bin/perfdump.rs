@@ -5,8 +5,9 @@
 //! sliding-window cascade (sequential and sharded), checks the miss counts
 //! are bit-identical, and writes a machine-readable JSON report: wall
 //! times, speedups, per-stage times, points scanned, rows covered
-//! incrementally (window steps) vs fully (rebuild rows), and the peak
-//! survivor-set size.
+//! incrementally (window steps) vs fully (rebuild rows), the peak
+//! survivor-set size, and how many solve-stage reuse vectors were
+//! certified all-cold versus walked.
 //!
 //! ```text
 //! cargo run --release -p cme-bench --bin perfdump -- \
@@ -245,6 +246,7 @@ fn render_json(
              \"window_steps\": {}, \"window_rebuilds\": {}, \
              \"window_rebuild_rows\": {}, \"peak_survivors\": {}, \
              \"scan_sets_dense\": {}, \"scan_sets_runs\": {}, \
+             \"solve_vectors_certified\": {}, \"solve_vectors_walked\": {}, \
              \"shard_busy_seconds\": {:.6}, \"shard_longest_seconds\": {:.6}, \
              \"shard_steals\": {}, \"merge_seconds\": {:.6}, \
              \"stage_seconds\": {{\"lower\": {:.6}, \"reuse\": {:.6}, \
@@ -257,6 +259,8 @@ fn render_json(
             st.peak_survivors,
             st.scan_sets_dense,
             st.scan_sets_runs,
+            st.solve_vectors_certified,
+            st.solve_vectors_walked,
             st.time_scan_shards.as_secs_f64(),
             st.time_scan_longest_shard.as_secs_f64(),
             st.scan_steals,

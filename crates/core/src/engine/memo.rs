@@ -100,7 +100,7 @@ impl Engine {
             return c.clone();
         }
         let c = Arc::new(build());
-        self.counters.cascades_built.fetch_add(1, Ordering::Relaxed);
+        self.counters.note_solve_built(&c);
         if c.truncated {
             // A truncated solve set is a sound overcount for *this* query
             // only; memoizing it would degrade future full-budget runs.

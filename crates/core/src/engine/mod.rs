@@ -421,7 +421,6 @@ impl Engine {
                 let t = Instant::now();
                 let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
                 Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
-                eng.counters.cascades_built.fetch_add(1, Ordering::Relaxed);
                 let t = Instant::now();
                 let solve = Arc::new(stages::solve::build(
                     &ctx.lowered,
@@ -432,6 +431,7 @@ impl Engine {
                     gov,
                 ));
                 Counters::add_time(&eng.counters.solve_ns, t.elapsed());
+                eng.counters.note_solve_built(&solve);
                 let scans = solve.vectors.iter().map(|_| ScanSlot::Todo(None)).collect();
                 return Plan::Cached {
                     rvs: plan.rvs,

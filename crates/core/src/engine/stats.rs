@@ -11,6 +11,10 @@
 //! | cascade  | `CascadeResult`              | `scans_executed/scans_reused`  |
 //! | classify | `Classification`             | — (pure assembly, never cached)|
 //!
+//! A built solve set also counts its reuse vectors as
+//! `solve_vectors_certified` (all-cold without a walk) or
+//! `solve_vectors_walked`.
+//!
 //! (The `cascades_*`/`scans_*` names predate the stage split and are kept
 //! for output stability: a "cascade" counter counts solve-stage
 //! cold/indeterminate refinements, a "scan" counter counts cascade-stage
@@ -27,6 +31,7 @@ use std::time::Duration;
 
 use crate::window::WindowStats;
 
+use super::stages::solve::SolveSet;
 use super::Engine;
 
 #[derive(Debug, Default)]
@@ -39,6 +44,8 @@ pub(crate) struct Counters {
     pub(crate) reuse_reused: AtomicU64,
     pub(crate) cascades_built: AtomicU64,
     pub(crate) cascades_reused: AtomicU64,
+    pub(crate) solve_vectors_certified: AtomicU64,
+    pub(crate) solve_vectors_walked: AtomicU64,
     pub(crate) scans_executed: AtomicU64,
     pub(crate) scans_reused: AtomicU64,
     pub(crate) systems_generated: AtomicU64,
@@ -94,6 +101,17 @@ impl Counters {
         slot.fetch_add(ns, Ordering::Relaxed);
     }
 
+    /// Counts one freshly built solve set and how its vectors were
+    /// decided: certified all-cold, or walked over the survivor set.
+    pub(crate) fn note_solve_built(&self, solve: &SolveSet) {
+        self.cascades_built.fetch_add(1, Ordering::Relaxed);
+        let walked = solve.vectors.len() as u64 - solve.certified_vectors;
+        self.solve_vectors_certified
+            .fetch_add(solve.certified_vectors, Ordering::Relaxed);
+        self.solve_vectors_walked
+            .fetch_add(walked, Ordering::Relaxed);
+    }
+
     /// Records one solved vector's survivor peak and which side of the
     /// density heuristic its scan sets landed on.
     pub(crate) fn note_solved_vector(&self, examined: u64, dense: bool) {
@@ -140,6 +158,12 @@ pub struct EngineStats {
     pub cascades_built: u64,
     /// Solve sets answered from the memo.
     pub cascades_reused: u64,
+    /// Reuse vectors of freshly built solve sets certified all-cold
+    /// without walking the survivor set.
+    pub solve_vectors_certified: u64,
+    /// Reuse vectors of freshly built solve sets classified by walking
+    /// the survivor set.
+    pub solve_vectors_walked: u64,
     /// Cascade-stage `(reference, reuse-vector)` scan batches executed.
     pub scans_executed: u64,
     /// Scan batches answered from the memo.
@@ -284,6 +308,11 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
+            "  solve vectors: {} certified, {} walked",
+            self.solve_vectors_certified, self.solve_vectors_walked
+        )?;
+        writeln!(
+            f,
             "  window scans:  {} executed, {} reused",
             self.scans_executed, self.scans_reused
         )?;
@@ -367,6 +396,8 @@ impl Engine {
             reuse_reused: c.reuse_reused.load(Ordering::Relaxed),
             cascades_built: c.cascades_built.load(Ordering::Relaxed),
             cascades_reused: c.cascades_reused.load(Ordering::Relaxed),
+            solve_vectors_certified: c.solve_vectors_certified.load(Ordering::Relaxed),
+            solve_vectors_walked: c.solve_vectors_walked.load(Ordering::Relaxed),
             scans_executed: c.scans_executed.load(Ordering::Relaxed),
             scans_reused: c.scans_reused.load(Ordering::Relaxed),
             systems_generated: c.systems_generated.load(Ordering::Relaxed),

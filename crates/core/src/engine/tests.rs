@@ -190,6 +190,27 @@ fn stage_times_are_populated() {
 }
 
 #[test]
+fn solve_vector_counts_are_taken_when_a_solve_set_is_built() {
+    let cache = CacheConfig::new(8192, 1, 32, 4).unwrap();
+    let nest = cme_kernels::gauss(16);
+    let mut analyzer = Analyzer::new(cache);
+    analyzer.analyze(&nest);
+    let cold = analyzer.stats();
+    assert!(
+        cold.solve_vectors_certified > 0 && cold.solve_vectors_walked > 0,
+        "{cold}"
+    );
+    analyzer.analyze(&nest);
+    let warm = analyzer.stats();
+    assert!(warm.cascades_reused > 0, "{warm}");
+    assert_eq!(
+        (warm.solve_vectors_certified, warm.solve_vectors_walked),
+        (cold.solve_vectors_certified, cold.solve_vectors_walked),
+        "memoized solve sets are not recounted"
+    );
+}
+
+#[test]
 fn stats_helpers_on_zero_queries() {
     let stats = EngineStats::default();
     assert_eq!(stats.memo_hit_rate(), 0.0);

@@ -210,7 +210,7 @@ impl<'a> IterationSpace<'a> {
     /// by [`IterationSpace::innermost_bounds`].)
     ///
     /// Outer-level bounds may only depend on strictly-enclosing indices, so
-    /// the answer is independent of the innermost padding value.
+    /// they are evaluated on the prefix itself, without allocating.
     ///
     /// # Panics
     ///
@@ -218,11 +218,8 @@ impl<'a> IterationSpace<'a> {
     pub fn contains_prefix(&self, prefix: &[i64]) -> bool {
         let n = self.nest.depth();
         assert_eq!(prefix.len() + 1, n, "prefix must cover all but one level");
-        let mut padded = vec![0i64; n];
-        padded[..n - 1].copy_from_slice(prefix);
-        (0..n - 1).all(|l| {
-            let v = padded[l];
-            self.lower_at(&padded, l) <= v && v <= self.upper_at(&padded, l)
+        self.nest.loops[..n - 1].iter().zip(prefix).all(|(lp, &v)| {
+            lp.lower().eval_prefix(prefix) <= v && v <= lp.upper().eval_prefix(prefix)
         })
     }
 
@@ -311,10 +308,9 @@ impl<'a> IterationSpace<'a> {
     pub fn innermost_bounds(&self, prefix: &[i64]) -> Option<(i64, i64)> {
         let n = self.nest.depth();
         assert_eq!(prefix.len() + 1, n, "prefix must cover all but one level");
-        let mut padded = vec![0i64; n];
-        padded[..n - 1].copy_from_slice(prefix);
-        let lo = self.lower_at(&padded, n - 1);
-        let hi = self.upper_at(&padded, n - 1);
+        let innermost = &self.nest.loops[n - 1];
+        let lo = innermost.lower().eval_prefix(prefix);
+        let hi = innermost.upper().eval_prefix(prefix);
         if lo <= hi {
             Some((lo, hi))
         } else {
@@ -482,6 +478,17 @@ mod tests {
         assert!(!s.contains(&[1, 1]));
         assert!(!s.contains(&[4, 4]));
         assert!(!s.contains(&[0, 2]));
+    }
+
+    #[test]
+    fn prefix_queries_follow_affine_bounds() {
+        let nest = triangle(4);
+        let s = nest.space();
+        assert!(s.contains_prefix(&[1]) && s.contains_prefix(&[4]));
+        assert!(!s.contains_prefix(&[0]) && !s.contains_prefix(&[5]));
+        assert_eq!(s.innermost_bounds(&[1]), Some((2, 4)));
+        assert_eq!(s.innermost_bounds(&[3]), Some((4, 4)));
+        assert_eq!(s.innermost_bounds(&[4]), None);
     }
 
     #[test]

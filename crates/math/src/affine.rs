@@ -99,6 +99,37 @@ impl Affine {
         acc
     }
 
+    /// Evaluates the expression at a point given only by its leading
+    /// coordinates, for an expression that does not depend on the rest —
+    /// a loop bound evaluated on an outer-index prefix, without padding the
+    /// prefix to full dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix` is longer than `self.nvars()` or a coefficient
+    /// past the prefix is nonzero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cme_math::Affine;
+    /// // k + 1 over (k, i, j), evaluated on the prefix (k, i) = (3, 7):
+    /// let lower = Affine::new(vec![1, 0, 0], 1);
+    /// assert_eq!(lower.eval_prefix(&[3, 7]), 4);
+    /// ```
+    pub fn eval_prefix(&self, prefix: &[i64]) -> i64 {
+        let (lead, rest) = self.coeffs.split_at(prefix.len());
+        assert!(
+            rest.iter().all(|&c| c == 0),
+            "expression depends on coordinates past the prefix"
+        );
+        let mut acc = self.constant;
+        for (c, x) in lead.iter().zip(prefix) {
+            acc += c * x;
+        }
+        acc
+    }
+
     /// Adds two expressions over the same variable space.
     ///
     /// # Panics
@@ -256,6 +287,23 @@ mod tests {
         assert_eq!(a.sub(&b).eval(&[3, 4]), 7 - 4);
         assert_eq!(a.scale(3).eval(&[3, 4]), 21);
         assert_eq!(a.offset(-5).eval(&[3, 4]), 2);
+    }
+
+    #[test]
+    fn eval_prefix_matches_padded_eval() {
+        let e = Affine::new(vec![2, -1, 0, 0], 5);
+        for x in -3..3 {
+            for y in -3..3 {
+                assert_eq!(e.eval_prefix(&[x, y]), e.eval(&[x, y, 0, 0]));
+                assert_eq!(e.eval_prefix(&[x, y, 9]), e.eval(&[x, y, 9, 0]));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the prefix")]
+    fn eval_prefix_rejects_a_dependence_past_the_prefix() {
+        Affine::new(vec![1, 1], 0).eval_prefix(&[3]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub use rng::CaseRng;
 
 use cme_cache::CacheConfig;
 use cme_ir::{AccessKind, LoopNest, NestBuilder};
+use cme_math::Affine;
 use proptest::prelude::*;
 
 /// Parameters of the random-nest distribution.
@@ -39,6 +40,12 @@ pub struct NestDistribution {
     pub max_rank: usize,
     /// Subscript offsets are drawn from `-max_offset..=max_offset`.
     pub max_offset: i64,
+    /// Let inner loops take an affine bound in one enclosing index — a
+    /// lower bound `outer + c` or an upper bound `outer − c`, `c ∈ 0..=2`
+    /// — so triangular spaces occur. Off by default, and when off no
+    /// extra draws are made: existing distributions and seeds generate the
+    /// same nests either way.
+    pub affine_bounds: bool,
 }
 
 impl Default for NestDistribution {
@@ -51,6 +58,7 @@ impl Default for NestDistribution {
             uniform_only: false,
             max_rank: 3,
             max_offset: 2,
+            affine_bounds: false,
         }
     }
 }
@@ -59,9 +67,10 @@ const INDEX_NAMES: [&str; 4] = ["i", "j", "k", "l"];
 
 /// Generates one random loop nest from an explicit seed stream.
 ///
-/// Depth 2..=4 with per-loop extents; arrays of rank 1..=3 laid out
-/// back-to-back with a random, 16-element-aligned gap (so distinct
-/// arrays never share a memory line at the geometries of
+/// Depth 2..=4 with per-loop extents (inner bounds optionally affine in
+/// an enclosing index, see [`NestDistribution::affine_bounds`]); arrays
+/// of rank 1..=3 laid out back-to-back with a random, 16-element-aligned
+/// gap (so distinct arrays never share a memory line at the geometries of
 /// [`random_cache`]); subscripts are `index + offset` pairs over the
 /// loop indices, with repeats allowed (diagonal access) and offsets up
 /// to `max_offset`, so non-uniform same-array pairs occur unless
@@ -76,10 +85,36 @@ pub fn random_nest(rng: &mut CaseRng, dist: &NestDistribution) -> LoopNest {
     let mut b = NestBuilder::new();
     b.name("random");
     let mut max_ext = dist.extent.start;
-    for name in INDEX_NAMES.iter().take(depth) {
+    // One point kept inside the space as the bounds are drawn, so an
+    // affine-bounded space is never empty.
+    let mut witness: Vec<i64> = Vec::with_capacity(depth);
+    for (l, name) in INDEX_NAMES.iter().take(depth).enumerate() {
         let ext = rng.range(dist.extent.start, dist.extent.end - 1);
         max_ext = max_ext.max(ext);
-        b.ct_loop(*name, lo, lo + ext - 1);
+        let hi = lo + ext - 1;
+        // (enclosing level, shape): 0 constant bounds, 1 lower bound
+        // `outer + c`, 2 upper bound `outer − c`. Every index stays in
+        // `lo..=lo + max_ext − 1`, so the array side below still covers it.
+        let shape =
+            (dist.affine_bounds && l > 0).then(|| (rng.below(l as u64) as usize, rng.below(3)));
+        match shape {
+            Some((m, 1)) if witness[m] <= hi => {
+                let c = rng.range(0, 2.min(hi - witness[m]));
+                let lower = Affine::var(depth, m).offset(c);
+                b.affine_loop(*name, lower, Affine::constant(depth, hi));
+                witness.push(witness[m] + c);
+            }
+            Some((m, 2)) => {
+                let c = rng.range(0, 2.min(witness[m] - lo));
+                let upper = Affine::var(depth, m).offset(-c);
+                b.affine_loop(*name, Affine::constant(depth, lo), upper);
+                witness.push(lo);
+            }
+            _ => {
+                b.ct_loop(*name, lo, hi);
+                witness.push(lo);
+            }
+        }
     }
 
     let narrays = rng.range_usize(1, dist.max_arrays.max(1));
@@ -283,6 +318,51 @@ mod tests {
             prop_assert!(cache.num_sets() >= 1);
             prop_assert!(cache.line_elems() >= 4);
         }
+    }
+
+    /// Fingerprints of the default and uniform-only distributions, which
+    /// the committed corpus and every suite's seeds depend on.
+    const PINNED_DEFAULT: u64 = 0xa85a_9c7c_55c5_d344;
+    const PINNED_UNIFORM: u64 = 0xa0b4_70eb_8f67_5cec;
+
+    /// FNV-1a over the `Debug` form of the first 64 seeds' nests.
+    fn fingerprint(dist: &NestDistribution) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..64 {
+            let nest = random_nest(&mut CaseRng::new(seed), dist);
+            for byte in format!("{nest:?}").bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn default_distributions_generate_the_pinned_nests() {
+        assert_eq!(fingerprint(&NestDistribution::default()), PINNED_DEFAULT);
+        let uniform = NestDistribution {
+            uniform_only: true,
+            ..NestDistribution::default()
+        };
+        assert_eq!(fingerprint(&uniform), PINNED_UNIFORM);
+    }
+
+    #[test]
+    fn affine_mode_reaches_triangular_spaces() {
+        let dist = NestDistribution {
+            affine_bounds: true,
+            ..NestDistribution::default()
+        };
+        let (mut lower, mut upper) = (false, false);
+        for seed in 0..200 {
+            let nest = random_nest(&mut CaseRng::new(seed), &dist);
+            assert!(nest.space().count() > 0, "seed {seed}:\n{nest}");
+            for lp in nest.loops() {
+                lower |= !lp.lower().is_constant();
+                upper |= !lp.upper().is_constant();
+            }
+        }
+        assert!(lower && upper, "both affine bound sides must be reachable");
     }
 
     #[test]
