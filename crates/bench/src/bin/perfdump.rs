@@ -4,10 +4,9 @@
 //! solver (an uncached session) and through the engine's run-compressed
 //! sliding-window cascade (sequential and sharded), checks the miss counts
 //! are bit-identical, and writes a machine-readable JSON report: wall
-//! times, speedups, per-stage times, points scanned, rows covered
-//! incrementally (window steps) vs fully (rebuild rows), the peak
-//! survivor-set size, and how many solve-stage reuse vectors were
-//! certified all-cold versus walked.
+//! times, speedups, and each session's `EngineStats` counters under their
+//! schema names (times in seconds), with the five stage times repeated
+//! under `stage_seconds`.
 //!
 //! ```text
 //! cargo run --release -p cme-bench --bin perfdump -- \
@@ -21,6 +20,7 @@
 use std::time::Instant;
 
 use cme_bench::BenchArgs;
+use cme_core::api::json::{obj, Json};
 use cme_core::{
     AnalysisOptions, Analyzer, EngineStats, NestAnalysis, SweepParameter, SweepRequest,
 };
@@ -196,6 +196,24 @@ fn exhaustive_argmin(
         .expect("non-empty candidate range")
 }
 
+/// The pipeline stages whose `time_*` counters are nested as
+/// `stage_seconds`.
+const STAGES: [&str; 5] = ["lower", "reuse", "solve", "cascade", "classify"];
+
+/// One session's counters under their schema names, plus the stage times
+/// nested as `stage_seconds` (the shape the CI perf smoke reads).
+fn counters_json(stats: &EngineStats) -> Json {
+    let stages = stats.counters().filter_map(|(name, _, value)| {
+        let stage = name.strip_prefix("time_").filter(|s| STAGES.contains(s))?;
+        Some((stage, value.to_json()))
+    });
+    let stage_seconds = ("stage_seconds", obj(stages));
+    let counters = stats
+        .counters()
+        .map(|(name, _, value)| (name, value.to_json()));
+    obj(counters.chain([stage_seconds]))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     n: i64,
@@ -241,36 +259,7 @@ fn render_json(
         reference_s / par_s.max(1e-12)
     ));
     for (label, st) in [("cascade_seq", seq), ("cascade_par", par)] {
-        s.push_str(&format!(
-            "  \"{label}\": {{\"scan_points\": {}, \"scan_blocks\": {}, \
-             \"window_steps\": {}, \"window_rebuilds\": {}, \
-             \"window_rebuild_rows\": {}, \"peak_survivors\": {}, \
-             \"scan_sets_dense\": {}, \"scan_sets_runs\": {}, \
-             \"solve_vectors_certified\": {}, \"solve_vectors_walked\": {}, \
-             \"shard_busy_seconds\": {:.6}, \"shard_longest_seconds\": {:.6}, \
-             \"shard_steals\": {}, \"merge_seconds\": {:.6}, \
-             \"stage_seconds\": {{\"lower\": {:.6}, \"reuse\": {:.6}, \
-             \"solve\": {:.6}, \"cascade\": {:.6}, \"classify\": {:.6}}}}},\n",
-            st.scan_points,
-            st.scan_blocks,
-            st.window_steps,
-            st.window_rebuilds,
-            st.window_rebuild_rows,
-            st.peak_survivors,
-            st.scan_sets_dense,
-            st.scan_sets_runs,
-            st.solve_vectors_certified,
-            st.solve_vectors_walked,
-            st.time_scan_shards.as_secs_f64(),
-            st.time_scan_longest_shard.as_secs_f64(),
-            st.scan_steals,
-            st.time_scan_merge.as_secs_f64(),
-            st.time_lower.as_secs_f64(),
-            st.time_reuse.as_secs_f64(),
-            st.time_solve.as_secs_f64(),
-            st.time_cascade.as_secs_f64(),
-            st.time_classify.as_secs_f64()
-        ));
+        s.push_str(&format!("  \"{label}\": {},\n", counters_json(st).encode()));
     }
     s.push_str(&format!(
         "  \"sweep\": {{\"candidates\": {}, \"evaluations\": {}, \"fitted\": {}, \

@@ -93,8 +93,8 @@ pub use cme_core::api;
 pub use cme_cache::{CacheConfig, CacheConfigError};
 pub use cme_core::{
     AnalysisError, AnalysisOptions, Analyzer, ArtifactKey, ArtifactStore, Budget, CancelToken,
-    Engine, EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, NestId, Outcome, ProgramDb,
-    RefAnalysis, StoreError, StoreStats, SweepMetric, SweepParameter, SweepRecord, SweepRequest,
-    SweepResult,
+    CounterValue, Engine, EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, NestId, Outcome,
+    ProgramDb, RefAnalysis, StoreError, StoreStats, SweepMetric, SweepParameter, SweepRecord,
+    SweepRequest, SweepResult,
 };
 pub use cme_ir::{LoopNest, NestBuilder};

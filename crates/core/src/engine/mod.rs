@@ -52,14 +52,14 @@ mod model;
 mod persist;
 mod pool;
 mod stages;
-mod stats;
+pub(crate) mod stats;
 pub mod sweep;
 #[cfg(test)]
 mod tests;
 
 pub use analyzer::Analyzer;
 pub use model::ModelClassification;
-pub use stats::EngineStats;
+pub use stats::{CounterValue, EngineStats};
 pub use sweep::{SweepMetric, SweepParameter, SweepRequest, SweepResult};
 
 use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis, QueryGovernor};
@@ -374,7 +374,7 @@ impl Engine {
                 fits_memo,
             });
         }
-        Counters::add_time(&self.counters.lower_ns, t_lower.elapsed());
+        Counters::add_time(&self.counters.time_lower, t_lower.elapsed());
 
         // Every (nest, reference) of the batch is one pool item, so small
         // nests cannot leave workers idle. Item order (nest-major, then
@@ -407,10 +407,10 @@ impl Engine {
                 eng.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
                 let t = Instant::now();
                 let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
-                Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
+                Counters::add_time(&eng.counters.time_reuse, t.elapsed());
                 let t = Instant::now();
                 let done = crate::solve::solve_reference(nest, cache, id, &plan.rvs, options);
-                Counters::add_time(&eng.counters.solve_ns, t.elapsed());
+                Counters::add_time(&eng.counters.time_solve, t.elapsed());
                 return Plan::Done(Classification { result: done });
             }
             if !ctx.fits_memo {
@@ -420,7 +420,7 @@ impl Engine {
                 eng.counters.reuse_built.fetch_add(1, Ordering::Relaxed);
                 let t = Instant::now();
                 let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
-                Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
+                Counters::add_time(&eng.counters.time_reuse, t.elapsed());
                 let t = Instant::now();
                 let solve = Arc::new(stages::solve::build(
                     &ctx.lowered,
@@ -430,7 +430,7 @@ impl Engine {
                     options,
                     gov,
                 ));
-                Counters::add_time(&eng.counters.solve_ns, t.elapsed());
+                Counters::add_time(&eng.counters.time_solve, t.elapsed());
                 eng.counters.note_solve_built(&solve);
                 let scans = solve.vectors.iter().map(|_| ScanSlot::Todo(None)).collect();
                 return Plan::Cached {
@@ -446,13 +446,13 @@ impl Engine {
             let plan = eng.lookup_reuse(rkey, || {
                 stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse)
             });
-            Counters::add_time(&eng.counters.reuse_ns, t.elapsed());
+            Counters::add_time(&eng.counters.time_reuse, t.elapsed());
             let ckey = keys::cascade_key(ctx.prefix, nest, options, ridx, ls);
             let t = Instant::now();
             let solve = eng.lookup_cascade(ckey, || {
                 stages::solve::build(&ctx.lowered, &cache, ridx, &plan.rvs, options, gov)
             });
-            Counters::add_time(&eng.counters.solve_ns, t.elapsed());
+            Counters::add_time(&eng.counters.time_solve, t.elapsed());
             let scans = (0..solve.vectors.len())
                 .map(|vi| {
                     let skey = keys::scan_key(ctx.prefix, nest, options, ridx, vi, ls);
@@ -548,7 +548,7 @@ impl Engine {
                 .collect();
             let t_merge = Instant::now();
             let merged = batch::merge_scan_blocks(empties, jobs, partials);
-            Counters::add_time(&eng.counters.scan_merge_ns, t_merge.elapsed());
+            Counters::add_time(&eng.counters.time_scan_merge, t_merge.elapsed());
             Ok(merged)
         };
         let outcomes = scan_round(&exec_tis)?;
@@ -598,7 +598,7 @@ impl Engine {
                 fills.insert((pi, vi), outcome);
             }
         }
-        Counters::add_time(&self.counters.cascade_ns, t_cascade.elapsed());
+        Counters::add_time(&self.counters.time_cascade, t_cascade.elapsed());
 
         // Stage: classify — deterministic assembly, nest-major in
         // reference order (the item order).
@@ -639,7 +639,7 @@ impl Engine {
                 per_ref,
             })
             .collect();
-        Counters::add_time(&self.counters.classify_ns, t_classify.elapsed());
+        Counters::add_time(&self.counters.time_classify, t_classify.elapsed());
         Ok(results)
     }
 

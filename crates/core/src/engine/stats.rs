@@ -1,257 +1,356 @@
-//! Work accounting for the staged engine: internal atomic [`Counters`]
-//! and the public [`EngineStats`] snapshot.
+//! Work accounting: one counter schema for the engine ([`EngineStats`])
+//! and the artifact store ([`StoreStats`]).
 //!
-//! Counter families map onto the pipeline stages in `engine/stages/`:
+//! Every counter is declared once, in the `counter_schema!` table below,
+//! with its doc, its kind and its layer. The table generates the live
+//! atomics (`Counters`, `StoreCounters`), the public snapshot structs,
+//! the snapshot load, `merge`, and `counters()`, the iterator over
+//! `(schema name, layer, value)` that `Display`, perfdump and the serve
+//! `stats` op all read. Adding a counter is one table line.
 //!
-//! | stage    | artifact                     | built / reused counters        |
-//! |----------|------------------------------|--------------------------------|
-//! | lower    | `LoweredNest`                | `lowered_built/-reused`        |
-//! | reuse    | `ReusePlan`                  | `reuse_built/-reused`          |
-//! | solve    | `SolveSet`                   | `cascades_built/-reused`       |
-//! | cascade  | `CascadeResult`              | `scans_executed/scans_reused`  |
-//! | classify | `Classification`             | — (pure assembly, never cached)|
+//! Each entry reads `layer merge type field`. The kind is the merge rule
+//! and the type: a count (`sum u64`: `fetch_add`, summed), a high-water
+//! mark (`max u64`: `fetch_max`, max-merged), or a time (`sum Duration`,
+//! or `max Duration` for the longest shard: nanoseconds in the atomic, a
+//! `Duration` in the snapshot, seconds on the wire). Layers are the
+//! benchmark's per-layer prefixes; this summary follows the entries,
+//! which are authoritative:
 //!
-//! A built solve set also counts its reuse vectors as
-//! `solve_vectors_certified` (all-cold without a walk) or
-//! `solve_vectors_walked`.
+//! | layer      | counters |
+//! |------------|----------|
+//! | `ir`       | `analyses`, `lowered_built`, `lowered_reused`, `time_lower` |
+//! | `reuse`    | `reuse_built`, `reuse_reused`, `time_reuse` |
+//! | `solve`    | `passthroughs`, `cascades_built`, `cascades_reused`, `solve_vectors_certified`, `solve_vectors_walked`, `peak_survivors`, `scan_sets_dense`, `scan_sets_runs`, `time_solve` |
+//! | `cascade`  | `scans_executed`, `scans_reused`, `scan_points`, `scan_blocks`, `window_steps`, `window_rebuilds`, `window_rebuild_rows`, `time_scan_shards`, `time_scan_longest_shard`, `scan_steals`, `time_scan_merge`, `time_cascade` |
+//! | `classify` | `time_classify` |
+//! | `memo`     | `systems_generated`, `systems_rebased`, `systems_reused`, `solver_hits`, `solver_misses` |
+//! | `sweep`    | `sweeps_fitted`, `sweeps_fallback`, `sweep_memo_hits`, `sweep_samples` |
+//! | `sim`      | `sim_classifications`, `sim_accesses`, `writebacks` (`sim_writebacks`), `sim_exhausted` |
+//! | `store`    | `store_hits`, `store_misses`, `store_writes`; all of [`StoreStats`] |
+//! | `governor` | `truncated_points`, `exhausted` (`exhausted_analyses`), `worker_panics` |
 //!
-//! (The `cascades_*`/`scans_*` names predate the stage split and are kept
-//! for output stability: a "cascade" counter counts solve-stage
-//! cold/indeterminate refinements, a "scan" counter counts cascade-stage
-//! window-scan batches.)
+//! The schema name is the field name except for the two in parentheses,
+//! whose wire names predate the schema. So do the `cascades_*` (solve
+//! stage refinements) and `scans_*` (cascade-stage window-scan batches)
+//! field names; the layer column says which stage they count.
 //!
-//! Per-stage wall time: `time_lower`, `time_cascade`, and `time_classify`
-//! are driver wall time; `time_reuse` and `time_solve` are summed across
-//! pool workers (the two stages run fused inside the per-reference work
-//! items), so on a multi-threaded session they can exceed wall time.
+//! `time_lower`, `time_cascade` and `time_classify` are driver wall time;
+//! `time_reuse` and `time_solve` are summed across pool workers (the two
+//! stages run fused inside the per-reference work items), so on a
+//! multi-threaded session they can exceed wall time.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
+use crate::api::json::Json;
 use crate::window::WindowStats;
 
 use super::stages::solve::SolveSet;
 use super::Engine;
 
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) analyses: AtomicU64,
-    pub(crate) passthroughs: AtomicU64,
-    pub(crate) lowered_built: AtomicU64,
-    pub(crate) lowered_reused: AtomicU64,
-    pub(crate) reuse_built: AtomicU64,
-    pub(crate) reuse_reused: AtomicU64,
-    pub(crate) cascades_built: AtomicU64,
-    pub(crate) cascades_reused: AtomicU64,
-    pub(crate) solve_vectors_certified: AtomicU64,
-    pub(crate) solve_vectors_walked: AtomicU64,
-    pub(crate) scans_executed: AtomicU64,
-    pub(crate) scans_reused: AtomicU64,
-    pub(crate) systems_generated: AtomicU64,
-    pub(crate) systems_rebased: AtomicU64,
-    pub(crate) systems_reused: AtomicU64,
-    pub(crate) scan_points: AtomicU64,
-    pub(crate) scan_blocks: AtomicU64,
-    pub(crate) window_steps: AtomicU64,
-    pub(crate) window_rebuilds: AtomicU64,
-    pub(crate) window_rebuild_rows: AtomicU64,
-    pub(crate) peak_survivors: AtomicU64,
-    pub(crate) scan_sets_dense: AtomicU64,
-    pub(crate) scan_sets_runs: AtomicU64,
-    pub(crate) scan_shard_busy_ns: AtomicU64,
-    pub(crate) scan_shard_longest_ns: AtomicU64,
-    pub(crate) scan_steals: AtomicU64,
-    pub(crate) scan_merge_ns: AtomicU64,
-    pub(crate) truncated_points: AtomicU64,
-    pub(crate) exhausted_analyses: AtomicU64,
-    pub(crate) worker_panics: AtomicU64,
-    pub(crate) store_hits: AtomicU64,
-    pub(crate) store_misses: AtomicU64,
-    pub(crate) store_writes: AtomicU64,
-    pub(crate) sim_classifications: AtomicU64,
-    pub(crate) sim_accesses: AtomicU64,
-    pub(crate) sim_writebacks: AtomicU64,
-    pub(crate) sim_exhausted: AtomicU64,
-    pub(crate) sweeps_fitted: AtomicU64,
-    pub(crate) sweeps_fallback: AtomicU64,
-    pub(crate) sweep_memo_hits: AtomicU64,
-    pub(crate) sweep_samples: AtomicU64,
-    pub(crate) lower_ns: AtomicU64,
-    pub(crate) reuse_ns: AtomicU64,
-    pub(crate) solve_ns: AtomicU64,
-    pub(crate) cascade_ns: AtomicU64,
-    pub(crate) classify_ns: AtomicU64,
+/// One counter's value in a stats snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterValue {
+    /// An event count or a high-water mark.
+    Count(u64),
+    /// Accumulated (or longest) time.
+    Time(Duration),
+}
+
+impl CounterValue {
+    /// The wire form: counts as integers, times as seconds.
+    pub fn to_json(self) -> Json {
+        match self {
+            CounterValue::Count(n) => Json::UInt(n),
+            CounterValue::Time(d) => Json::Float(d.as_secs_f64()),
+        }
+    }
+}
+
+impl fmt::Display for CounterValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CounterValue::Count(n) => write!(f, "{n}"),
+            CounterValue::Time(d) => write!(f, "{d:.1?}"),
+        }
+    }
+}
+
+/// A snapshot field type: how it loads from its atomic, sums, and
+/// reports. (High-water marks merge with `Ord::max`.)
+trait Value: Copy {
+    fn from_raw(raw: u64) -> Self;
+    fn sum(self, other: Self) -> Self;
+    fn report(self) -> CounterValue;
+}
+
+impl Value for u64 {
+    fn from_raw(raw: u64) -> Self {
+        raw
+    }
+    fn sum(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+    fn report(self) -> CounterValue {
+        CounterValue::Count(self)
+    }
+}
+
+impl Value for Duration {
+    fn from_raw(raw: u64) -> Self {
+        Duration::from_nanos(raw)
+    }
+    fn sum(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+    fn report(self) -> CounterValue {
+        CounterValue::Time(self)
+    }
+}
+
+/// A counter's schema name: its wire name when it has one, else its field.
+macro_rules! schema_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $wire:literal) => {
+        $wire
+    };
+}
+
+/// Generates each snapshot struct with its atomic twin, the load, `merge`
+/// and `counters()` from one entry per counter:
+/// `layer merge type field [as "wire name"]`.
+macro_rules! counter_schema {
+    ($(
+        $(#[$attr:meta])*
+        pub struct $snapshot:ident in $atomics:ident {
+            $($(#[$doc:meta])* $layer:ident $merge:ident $ty:ident $field:ident $(as $wire:literal)?,)*
+        }
+    )*) => {$(
+        #[derive(Debug, Default)]
+        pub(crate) struct $atomics {
+            $(pub(crate) $field: AtomicU64,)*
+        }
+
+        impl $atomics {
+            /// A `Relaxed` snapshot of every counter.
+            pub(crate) fn load(&self) -> $snapshot {
+                $snapshot { $($field: Value::from_raw(self.$field.load(Relaxed)),)* }
+            }
+        }
+
+        $(#[$attr])*
+        pub struct $snapshot {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl $snapshot {
+            /// Folds `other` into `self`: counts and times add
+            /// (saturating), high-water marks take the max.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field = self.$field.$merge(other.$field);)*
+            }
+
+            /// Every counter as `(schema name, layer, value)`, in schema
+            /// order (grouped by layer).
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, CounterValue)> {
+                [$((schema_name!($field $($wire)?), stringify!($layer), self.$field.report()),)*]
+                    .into_iter()
+            }
+        }
+    )*};
+}
+
+counter_schema! {
+    /// Snapshot of an [`Engine`]'s work accounting: per-stage artifacts
+    /// generated vs reused, solver-memo traffic, and per-stage time.
+    #[derive(Debug, Clone, Default)]
+    pub struct EngineStats in Counters {
+        /// Nest analyses run through the engine.
+        ir sum u64 analyses,
+        /// Lower-stage artifacts (`LoweredNest`) computed.
+        ir sum u64 lowered_built,
+        /// Lower-stage artifacts answered from the memo.
+        ir sum u64 lowered_reused,
+        /// Wall time in the lower stage (interning, address affines,
+        /// overflow validation).
+        ir sum Duration time_lower,
+        /// Reuse-vector sets computed.
+        reuse sum u64 reuse_built,
+        /// Reuse-vector sets answered from the memo.
+        reuse sum u64 reuse_reused,
+        /// Worker-summed time in the reuse stage (vector generation/lookup).
+        reuse sum Duration time_reuse,
+        /// References analyzed uncached (caching off or nest too large).
+        solve sum u64 passthroughs,
+        /// Solve-stage cold/indeterminate refinements (`SolveSet`) computed.
+        solve sum u64 cascades_built,
+        /// Solve sets answered from the memo.
+        solve sum u64 cascades_reused,
+        /// Reuse vectors of freshly built solve sets certified all-cold
+        /// without walking the survivor set.
+        solve sum u64 solve_vectors_certified,
+        /// Reuse vectors of freshly built solve sets classified by walking
+        /// the survivor set.
+        solve sum u64 solve_vectors_walked,
+        /// Largest indeterminate set entering any single reuse vector.
+        solve max u64 peak_survivors,
+        /// Survivor scan sets held in the flat dense representation (picked
+        /// by the density heuristic).
+        solve sum u64 scan_sets_dense,
+        /// Survivor scan sets held run-compressed.
+        solve sum u64 scan_sets_runs,
+        /// Worker-summed time in the solve stage (cold/indeterminate
+        /// refinement; uncached passthrough references are charged here).
+        solve sum Duration time_solve,
+        /// Cascade-stage `(reference, reuse-vector)` scan batches executed.
+        cascade sum u64 scans_executed,
+        /// Scan batches answered from the memo.
+        cascade sum u64 scans_reused,
+        /// Destination points whose reuse windows were scanned.
+        cascade sum u64 scan_points,
+        /// Contiguous run blocks the scans were sharded into.
+        cascade sum u64 scan_blocks,
+        /// Scan points reached by sliding the window incrementally.
+        cascade sum u64 window_steps,
+        /// Full window rebuilds (row/prefix boundaries, shard starts).
+        cascade sum u64 window_rebuilds,
+        /// Innermost rows aggregated during those rebuilds.
+        cascade sum u64 window_rebuild_rows,
+        /// Worker-summed wall time spent inside cascade scan shards.
+        cascade sum Duration time_scan_shards,
+        /// Busiest single shard pass of any scan round — the cascade stage's
+        /// parallel critical path.
+        cascade max Duration time_scan_longest_shard,
+        /// Scan blocks a worker claimed from another worker's lane.
+        cascade sum u64 scan_steals,
+        /// Wall time merging per-block scan outcomes back into per-slot
+        /// results.
+        cascade sum Duration time_scan_merge,
+        /// Wall time in the cascade stage (sharded window scans).
+        cascade sum Duration time_cascade,
+        /// Wall time in the classify stage (deterministic result assembly).
+        classify sum Duration time_classify,
+        /// [`crate::CmeSystem`]s generated from scratch.
+        memo sum u64 systems_generated,
+        /// Cached systems re-targeted at a new layout (constant terms only).
+        memo sum u64 systems_rebased,
+        /// Cached systems returned verbatim.
+        memo sum u64 systems_reused,
+        /// Diophantine/polytope solver memo hits (shared [`cme_math::SolveMemo`];
+        /// read from the memo when the snapshot is taken).
+        memo sum u64 solver_hits,
+        /// Solver memo misses (counts actually computed).
+        memo sum u64 solver_misses,
+        /// Parametric sweeps answered by a certified closed form (fresh fits
+        /// plus store rehydrations; see [`crate::SweepResult`]).
+        sweep sum u64 sweeps_fitted,
+        /// Parametric sweeps that degraded to direct evaluation.
+        sweep sum u64 sweeps_fallback,
+        /// Sweeps answered verbatim from the session sweep memo.
+        sweep sum u64 sweep_memo_hits,
+        /// Numeric analyses run on behalf of sweeps (samples + fallback
+        /// evaluations).
+        sweep sum u64 sweep_samples,
+        /// Model-simulation classify queries run for non-baseline
+        /// [`cme_cache::CacheModel`]s ([`Engine::classify_model`]).
+        sim sum u64 sim_classifications,
+        /// Accesses replayed through the model simulator (including aborted
+        /// replays' partial progress).
+        sim sum u64 sim_accesses,
+        /// Memory write traffic observed by completed model replays.
+        sim sum u64 sim_writebacks as "writebacks",
+        /// Model replays abandoned by budget exhaustion or cancellation (the
+        /// query degraded to the analytic LRU bound).
+        sim sum u64 sim_exhausted,
+        /// Analyses answered from the persistent [`crate::ArtifactStore`]
+        /// before any pipeline stage ran.
+        store sum u64 store_hits,
+        /// Store lookups that fell through to the pipeline.
+        store sum u64 store_misses,
+        /// Complete analyses written through to the persistent store.
+        store sum u64 store_writes,
+        /// Iteration points classified indeterminate-treated-as-miss because
+        /// a budget or cancellation cut their refinement short.
+        governor sum u64 truncated_points,
+        /// Analyses that ended [`crate::Outcome::Exhausted`].
+        governor sum u64 exhausted_analyses as "exhausted",
+        /// Worker panics caught at the pool boundary (each failed one query).
+        governor sum u64 worker_panics,
+    }
+
+    /// Snapshot of a store's traffic counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StoreStats in StoreCounters {
+        /// Lookups answered from disk.
+        store sum u64 hits,
+        /// Lookups that fell through to recompute (absent, corrupt, version
+        /// skew, or read error).
+        store sum u64 misses,
+        /// Entries persisted.
+        store sum u64 writes,
+        /// Entries deleted because their bytes failed integrity checks.
+        store sum u64 corrupt_evicted,
+        /// Entries deleted because their format or engine version differed.
+        store sum u64 version_evicted,
+        /// Entries deleted by the size bound (least recently used first).
+        store sum u64 lru_evicted,
+        /// Artifacts not persisted because they exceeded the per-entry cap.
+        store sum u64 skipped_large,
+        /// Writes dropped on I/O failure (the analysis still succeeded).
+        store sum u64 write_errors,
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Counters {
     pub(crate) fn absorb_scan(&self, points: u64, w: WindowStats) {
-        self.scan_points.fetch_add(points, Ordering::Relaxed);
-        self.scan_blocks.fetch_add(1, Ordering::Relaxed);
-        self.window_steps.fetch_add(w.steps, Ordering::Relaxed);
-        self.window_rebuilds
-            .fetch_add(w.rebuilds, Ordering::Relaxed);
-        self.window_rebuild_rows
-            .fetch_add(w.rebuild_rows, Ordering::Relaxed);
+        self.scan_points.fetch_add(points, Relaxed);
+        self.scan_blocks.fetch_add(1, Relaxed);
+        self.window_steps.fetch_add(w.steps, Relaxed);
+        self.window_rebuilds.fetch_add(w.rebuilds, Relaxed);
+        self.window_rebuild_rows.fetch_add(w.rebuild_rows, Relaxed);
     }
 
-    /// Adds an elapsed duration to one stage-time accumulator.
+    /// Adds an elapsed duration to one `time` counter.
     pub(crate) fn add_time(slot: &AtomicU64, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        slot.fetch_add(ns, Ordering::Relaxed);
+        slot.fetch_add(nanos(elapsed), Relaxed);
     }
 
     /// Counts one freshly built solve set and how its vectors were
     /// decided: certified all-cold, or walked over the survivor set.
     pub(crate) fn note_solve_built(&self, solve: &SolveSet) {
-        self.cascades_built.fetch_add(1, Ordering::Relaxed);
+        self.cascades_built.fetch_add(1, Relaxed);
         let walked = solve.vectors.len() as u64 - solve.certified_vectors;
         self.solve_vectors_certified
-            .fetch_add(solve.certified_vectors, Ordering::Relaxed);
-        self.solve_vectors_walked
-            .fetch_add(walked, Ordering::Relaxed);
+            .fetch_add(solve.certified_vectors, Relaxed);
+        self.solve_vectors_walked.fetch_add(walked, Relaxed);
     }
 
     /// Records one solved vector's survivor peak and which side of the
     /// density heuristic its scan sets landed on.
     pub(crate) fn note_solved_vector(&self, examined: u64, dense: bool) {
-        self.peak_survivors.fetch_max(examined, Ordering::Relaxed);
+        self.peak_survivors.fetch_max(examined, Relaxed);
         let slot = if dense {
             &self.scan_sets_dense
         } else {
             &self.scan_sets_runs
         };
-        slot.fetch_add(1, Ordering::Relaxed);
+        slot.fetch_add(1, Relaxed);
     }
 
     /// Folds one pooled scan round's lane clocks into the session totals.
     pub(crate) fn note_shard_stats(&self, stats: &super::pool::PoolStats) {
-        self.scan_shard_busy_ns.fetch_add(
-            u64::try_from(stats.busy.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        self.scan_shard_longest_ns.fetch_max(
-            u64::try_from(stats.longest.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        self.scan_steals.fetch_add(stats.steals, Ordering::Relaxed);
+        Self::add_time(&self.time_scan_shards, stats.busy);
+        self.time_scan_longest_shard
+            .fetch_max(nanos(stats.longest), Relaxed);
+        self.scan_steals.fetch_add(stats.steals, Relaxed);
     }
-}
-
-/// Snapshot of an [`Engine`]'s work accounting: per-stage artifacts
-/// generated vs reused, solver-memo traffic, and per-stage time.
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
-    /// Nest analyses run through the engine.
-    pub analyses: u64,
-    /// References analyzed uncached (caching off or nest too large).
-    pub passthroughs: u64,
-    /// Lower-stage artifacts (`LoweredNest`) computed.
-    pub lowered_built: u64,
-    /// Lower-stage artifacts answered from the memo.
-    pub lowered_reused: u64,
-    /// Reuse-vector sets computed.
-    pub reuse_built: u64,
-    /// Reuse-vector sets answered from the memo.
-    pub reuse_reused: u64,
-    /// Solve-stage cold/indeterminate refinements (`SolveSet`) computed.
-    pub cascades_built: u64,
-    /// Solve sets answered from the memo.
-    pub cascades_reused: u64,
-    /// Reuse vectors of freshly built solve sets certified all-cold
-    /// without walking the survivor set.
-    pub solve_vectors_certified: u64,
-    /// Reuse vectors of freshly built solve sets classified by walking
-    /// the survivor set.
-    pub solve_vectors_walked: u64,
-    /// Cascade-stage `(reference, reuse-vector)` scan batches executed.
-    pub scans_executed: u64,
-    /// Scan batches answered from the memo.
-    pub scans_reused: u64,
-    /// [`crate::CmeSystem`]s generated from scratch.
-    pub systems_generated: u64,
-    /// Cached systems re-targeted at a new layout (constant terms only).
-    pub systems_rebased: u64,
-    /// Cached systems returned verbatim.
-    pub systems_reused: u64,
-    /// Destination points whose reuse windows were scanned.
-    pub scan_points: u64,
-    /// Contiguous run blocks the scans were sharded into.
-    pub scan_blocks: u64,
-    /// Scan points reached by sliding the window incrementally.
-    pub window_steps: u64,
-    /// Full window rebuilds (row/prefix boundaries, shard starts).
-    pub window_rebuilds: u64,
-    /// Innermost rows aggregated during those rebuilds.
-    pub window_rebuild_rows: u64,
-    /// Largest indeterminate set entering any single reuse vector.
-    pub peak_survivors: u64,
-    /// Survivor scan sets held in the flat dense representation (picked
-    /// by the density heuristic).
-    pub scan_sets_dense: u64,
-    /// Survivor scan sets held run-compressed.
-    pub scan_sets_runs: u64,
-    /// Worker-summed wall time spent inside cascade scan shards.
-    pub time_scan_shards: Duration,
-    /// Busiest single shard pass of any scan round — the cascade stage's
-    /// parallel critical path.
-    pub time_scan_longest_shard: Duration,
-    /// Scan blocks a worker claimed from another worker's lane.
-    pub scan_steals: u64,
-    /// Wall time merging per-block scan outcomes back into per-slot
-    /// results.
-    pub time_scan_merge: Duration,
-    /// Iteration points classified indeterminate-treated-as-miss because
-    /// a budget or cancellation cut their refinement short.
-    pub truncated_points: u64,
-    /// Analyses that ended [`crate::Outcome::Exhausted`].
-    pub exhausted_analyses: u64,
-    /// Worker panics caught at the pool boundary (each failed one query).
-    pub worker_panics: u64,
-    /// Analyses answered from the persistent [`crate::ArtifactStore`]
-    /// before any pipeline stage ran.
-    pub store_hits: u64,
-    /// Store lookups that fell through to the pipeline.
-    pub store_misses: u64,
-    /// Complete analyses written through to the persistent store.
-    pub store_writes: u64,
-    /// Model-simulation classify queries run for non-baseline
-    /// [`cme_cache::CacheModel`]s ([`Engine::classify_model`]).
-    pub sim_classifications: u64,
-    /// Accesses replayed through the model simulator (including aborted
-    /// replays' partial progress).
-    pub sim_accesses: u64,
-    /// Memory write traffic observed by completed model replays.
-    pub sim_writebacks: u64,
-    /// Model replays abandoned by budget exhaustion or cancellation (the
-    /// query degraded to the analytic LRU bound).
-    pub sim_exhausted: u64,
-    /// Parametric sweeps answered by a certified closed form (fresh fits
-    /// plus store rehydrations; see [`crate::SweepResult`]).
-    pub sweeps_fitted: u64,
-    /// Parametric sweeps that degraded to direct evaluation.
-    pub sweeps_fallback: u64,
-    /// Sweeps answered verbatim from the session sweep memo.
-    pub sweep_memo_hits: u64,
-    /// Numeric analyses run on behalf of sweeps (samples + fallback
-    /// evaluations).
-    pub sweep_samples: u64,
-    /// Diophantine/polytope solver memo hits (shared [`cme_math::SolveMemo`]).
-    pub solver_hits: u64,
-    /// Solver memo misses (counts actually computed).
-    pub solver_misses: u64,
-    /// Wall time in the lower stage (interning, address affines,
-    /// overflow validation).
-    pub time_lower: Duration,
-    /// Worker-summed time in the reuse stage (vector generation/lookup).
-    pub time_reuse: Duration,
-    /// Worker-summed time in the solve stage (cold/indeterminate
-    /// refinement; uncached passthrough references are charged here).
-    pub time_solve: Duration,
-    /// Wall time in the cascade stage (sharded window scans).
-    pub time_cascade: Duration,
-    /// Wall time in the classify stage (deterministic result assembly).
-    pub time_classify: Duration,
 }
 
 impl EngineStats {
@@ -284,158 +383,147 @@ impl EngineStats {
     }
 }
 
+/// Writes counters one line per layer: `layer: name value, ...`.
+fn write_layers(
+    f: &mut fmt::Formatter<'_>,
+    counters: impl Iterator<Item = (&'static str, &'static str, CounterValue)>,
+) -> fmt::Result {
+    let mut current = None;
+    for (name, layer, value) in counters {
+        if current == Some(layer) {
+            f.write_str(",")?;
+        } else {
+            if current.is_some() {
+                f.write_str("\n")?;
+            }
+            write!(f, "{layer}:")?;
+            current = Some(layer);
+        }
+        write!(f, " {name} {value}")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "engine: {} analyses ({} uncached references)",
-            self.analyses, self.passthroughs
-        )?;
-        writeln!(
-            f,
-            "  lowered nests: {} built, {} reused",
-            self.lowered_built, self.lowered_reused
-        )?;
-        writeln!(
-            f,
-            "  reuse vectors: {} built, {} reused",
-            self.reuse_built, self.reuse_reused
-        )?;
-        writeln!(
-            f,
-            "  solve sets:    {} built, {} reused",
-            self.cascades_built, self.cascades_reused
-        )?;
-        writeln!(
-            f,
-            "  solve vectors: {} certified, {} walked",
-            self.solve_vectors_certified, self.solve_vectors_walked
-        )?;
-        writeln!(
-            f,
-            "  window scans:  {} executed, {} reused",
-            self.scans_executed, self.scans_reused
-        )?;
-        writeln!(
-            f,
-            "  scan points:   {} in {} blocks ({} stepped, {} rebuilds over {} rows)",
-            self.scan_points,
-            self.scan_blocks,
-            self.window_steps,
-            self.window_rebuilds,
-            self.window_rebuild_rows
-        )?;
-        writeln!(f, "  peak survivors: {} points", self.peak_survivors)?;
-        writeln!(
-            f,
-            "  scan sets:     {} dense, {} run-compressed",
-            self.scan_sets_dense, self.scan_sets_runs
-        )?;
-        writeln!(
-            f,
-            "  scan shards:   {:.1?} busy (longest {:.1?}), {} steals, merge {:.1?}",
-            self.time_scan_shards,
-            self.time_scan_longest_shard,
-            self.scan_steals,
-            self.time_scan_merge
-        )?;
-        writeln!(
-            f,
-            "  degraded:      {} exhausted analyses ({} points truncated-as-miss), {} worker panics",
-            self.exhausted_analyses, self.truncated_points, self.worker_panics
-        )?;
-        writeln!(
-            f,
-            "  systems:       {} generated, {} rebased, {} reused",
-            self.systems_generated, self.systems_rebased, self.systems_reused
-        )?;
-        writeln!(
-            f,
-            "  artifact store: {} hits, {} misses, {} writes",
-            self.store_hits, self.store_misses, self.store_writes
-        )?;
-        writeln!(
-            f,
-            "  model sim:     {} classifications ({} accesses, {} writebacks), {} exhausted",
-            self.sim_classifications, self.sim_accesses, self.sim_writebacks, self.sim_exhausted
-        )?;
-        writeln!(
-            f,
-            "  sweeps:        {} fitted, {} fallback, {} memo hits, {} samples",
-            self.sweeps_fitted, self.sweeps_fallback, self.sweep_memo_hits, self.sweep_samples
-        )?;
-        writeln!(
-            f,
-            "  solver memo:   {} hits, {} misses",
-            self.solver_hits, self.solver_misses
-        )?;
-        writeln!(f, "  memo hit rate: {:.1}%", self.memo_hit_rate() * 100.0)?;
-        write!(
-            f,
-            "  stages: lower {:.1?}, reuse {:.1?}, solve {:.1?}, cascade {:.1?}, classify {:.1?}",
-            self.time_lower,
-            self.time_reuse,
-            self.time_solve,
-            self.time_cascade,
-            self.time_classify
-        )
+        write_layers(f, self.counters())?;
+        write!(f, "\nmemo hit rate: {:.1}%", self.memo_hit_rate() * 100.0)
+    }
+}
+
+impl fmt::Display for StoreStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_layers(f, self.counters())
     }
 }
 
 impl Engine {
     /// Snapshot of the engine's accounting.
     pub fn stats(&self) -> EngineStats {
-        let c = &self.counters;
-        let ns = |a: &AtomicU64| Duration::from_nanos(a.load(Ordering::Relaxed));
         EngineStats {
-            analyses: c.analyses.load(Ordering::Relaxed),
-            passthroughs: c.passthroughs.load(Ordering::Relaxed),
-            lowered_built: c.lowered_built.load(Ordering::Relaxed),
-            lowered_reused: c.lowered_reused.load(Ordering::Relaxed),
-            reuse_built: c.reuse_built.load(Ordering::Relaxed),
-            reuse_reused: c.reuse_reused.load(Ordering::Relaxed),
-            cascades_built: c.cascades_built.load(Ordering::Relaxed),
-            cascades_reused: c.cascades_reused.load(Ordering::Relaxed),
-            solve_vectors_certified: c.solve_vectors_certified.load(Ordering::Relaxed),
-            solve_vectors_walked: c.solve_vectors_walked.load(Ordering::Relaxed),
-            scans_executed: c.scans_executed.load(Ordering::Relaxed),
-            scans_reused: c.scans_reused.load(Ordering::Relaxed),
-            systems_generated: c.systems_generated.load(Ordering::Relaxed),
-            systems_rebased: c.systems_rebased.load(Ordering::Relaxed),
-            systems_reused: c.systems_reused.load(Ordering::Relaxed),
-            scan_points: c.scan_points.load(Ordering::Relaxed),
-            scan_blocks: c.scan_blocks.load(Ordering::Relaxed),
-            window_steps: c.window_steps.load(Ordering::Relaxed),
-            window_rebuilds: c.window_rebuilds.load(Ordering::Relaxed),
-            window_rebuild_rows: c.window_rebuild_rows.load(Ordering::Relaxed),
-            peak_survivors: c.peak_survivors.load(Ordering::Relaxed),
-            scan_sets_dense: c.scan_sets_dense.load(Ordering::Relaxed),
-            scan_sets_runs: c.scan_sets_runs.load(Ordering::Relaxed),
-            time_scan_shards: ns(&c.scan_shard_busy_ns),
-            time_scan_longest_shard: ns(&c.scan_shard_longest_ns),
-            scan_steals: c.scan_steals.load(Ordering::Relaxed),
-            time_scan_merge: ns(&c.scan_merge_ns),
-            truncated_points: c.truncated_points.load(Ordering::Relaxed),
-            exhausted_analyses: c.exhausted_analyses.load(Ordering::Relaxed),
-            worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            store_hits: c.store_hits.load(Ordering::Relaxed),
-            store_misses: c.store_misses.load(Ordering::Relaxed),
-            store_writes: c.store_writes.load(Ordering::Relaxed),
-            sim_classifications: c.sim_classifications.load(Ordering::Relaxed),
-            sim_accesses: c.sim_accesses.load(Ordering::Relaxed),
-            sim_writebacks: c.sim_writebacks.load(Ordering::Relaxed),
-            sim_exhausted: c.sim_exhausted.load(Ordering::Relaxed),
-            sweeps_fitted: c.sweeps_fitted.load(Ordering::Relaxed),
-            sweeps_fallback: c.sweeps_fallback.load(Ordering::Relaxed),
-            sweep_memo_hits: c.sweep_memo_hits.load(Ordering::Relaxed),
-            sweep_samples: c.sweep_samples.load(Ordering::Relaxed),
             solver_hits: self.solve_memo.hits(),
             solver_misses: self.solve_memo.misses(),
-            time_lower: ns(&c.lower_ns),
-            time_reuse: ns(&c.reuse_ns),
-            time_solve: ns(&c.solve_ns),
-            time_cascade: ns(&c.cascade_ns),
-            time_classify: ns(&c.classify_ns),
+            ..self.counters.load()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The benchmark's per-layer prefixes, in schema order.
+    const LAYERS: [&str; 10] = [
+        "ir", "reuse", "solve", "cascade", "classify", "memo", "sweep", "sim", "store", "governor",
+    ];
+
+    fn check_schema(counters: &[(&'static str, &'static str, CounterValue)]) {
+        let mut names: Vec<_> = counters.iter().map(|c| c.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), counters.len(), "duplicate schema name");
+        // Layers are known and contiguous, in benchmark order, so
+        // `Display` prints each layer on one line.
+        let ranks: Vec<usize> = counters
+            .iter()
+            .map(|c| {
+                LAYERS
+                    .iter()
+                    .position(|l| *l == c.1)
+                    .unwrap_or_else(|| panic!("unknown layer {}", c.1))
+            })
+            .collect();
+        assert!(
+            ranks.windows(2).all(|w| w[0] <= w[1]),
+            "layers out of order"
+        );
+    }
+
+    #[test]
+    fn schema_names_are_unique_and_layers_are_ordered() {
+        let engine: Vec<_> = EngineStats::default().counters().collect();
+        assert_eq!(engine.len(), 48);
+        check_schema(&engine);
+        check_schema(&StoreStats::default().counters().collect::<Vec<_>>());
+        let names: Vec<_> = engine.iter().map(|c| c.0).collect();
+        for wire in ["exhausted", "writebacks", "store_hits", "analyses"] {
+            assert!(names.contains(&wire), "missing {wire}");
+        }
+        assert!(!names.contains(&"exhausted_analyses"));
+        assert!(!names.contains(&"sim_writebacks"));
+    }
+
+    #[test]
+    fn merge_sums_counts_and_times_but_maxes_peaks() {
+        let ms = Duration::from_millis;
+        let mut a = EngineStats {
+            analyses: 2,
+            peak_survivors: 10,
+            time_solve: ms(3),
+            time_scan_longest_shard: ms(5),
+            ..EngineStats::default()
+        };
+        let b = EngineStats {
+            analyses: 3,
+            peak_survivors: 4,
+            time_solve: ms(4),
+            time_scan_longest_shard: ms(7),
+            solver_hits: u64::MAX,
+            ..EngineStats::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.analyses, 5);
+        assert_eq!(a.peak_survivors, 10);
+        assert_eq!(a.time_solve, ms(7));
+        assert_eq!(a.time_scan_longest_shard, ms(7));
+        a.merge(&b);
+        assert_eq!(a.solver_hits, u64::MAX, "counts saturate");
+
+        let mut s = StoreStats {
+            hits: 1,
+            skipped_large: 2,
+            ..StoreStats::default()
+        };
+        s.merge(&s.clone());
+        assert_eq!((s.hits, s.skipped_large), (2, 4));
+    }
+
+    #[test]
+    fn snapshot_load_reads_every_kind() {
+        let c = Counters::default();
+        c.analyses.fetch_add(3, Relaxed);
+        Counters::add_time(&c.time_lower, Duration::from_micros(5));
+        c.note_solved_vector(9, true);
+        c.note_solved_vector(4, false);
+        let s = c.load();
+        assert_eq!(s.analyses, 3);
+        assert_eq!(s.time_lower, Duration::from_micros(5));
+        assert_eq!(
+            (s.peak_survivors, s.scan_sets_dense, s.scan_sets_runs),
+            (9, 1, 1)
+        );
+        let shown = s.to_string();
+        assert!(shown.starts_with("ir: analyses 3,"), "{shown}");
+        assert!(shown.contains("\ngovernor: truncated_points 0, exhausted 0"));
     }
 }

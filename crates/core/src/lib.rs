@@ -94,8 +94,8 @@ mod window;
 pub use accuracy::{compare_with_simulation, AccuracyRow};
 pub use cme_ir::{NestId, ProgramDb};
 pub use engine::{
-    Analyzer, Engine, EngineStats, ModelClassification, SweepMetric, SweepParameter, SweepRequest,
-    SweepResult,
+    Analyzer, CounterValue, Engine, EngineStats, ModelClassification, SweepMetric, SweepParameter,
+    SweepRequest, SweepResult,
 };
 pub use equations::{CmeSystem, ColdEquation, EquationGroup, RefEquations, ReplacementEquation};
 pub use faults::{FaultPlan, InjectedFaults, ReadFault, WriteFault};

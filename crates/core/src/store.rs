@@ -35,6 +35,8 @@
 //! I/O failures never fail an analysis: a read error is a miss, a write
 //! error is counted ([`StoreStats::write_errors`]) and dropped.
 
+use crate::engine::stats::StoreCounters;
+pub use crate::engine::stats::StoreStats;
 use crate::faults::{FaultPlan, ReadFault, WriteFault};
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis, VectorReport};
 use cme_cache::{CacheConfig, CacheModel};
@@ -46,7 +48,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::SystemTime;
 
@@ -216,57 +218,6 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-#[derive(Debug, Default)]
-struct StoreCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    corrupt_evicted: AtomicU64,
-    version_evicted: AtomicU64,
-    lru_evicted: AtomicU64,
-    skipped_large: AtomicU64,
-    write_errors: AtomicU64,
-}
-
-/// Snapshot of a store's traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Lookups answered from disk.
-    pub hits: u64,
-    /// Lookups that fell through to recompute (absent, corrupt, version
-    /// skew, or read error).
-    pub misses: u64,
-    /// Entries persisted.
-    pub writes: u64,
-    /// Entries deleted because their bytes failed integrity checks.
-    pub corrupt_evicted: u64,
-    /// Entries deleted because their format or engine version differed.
-    pub version_evicted: u64,
-    /// Entries deleted by the size bound (least recently used first).
-    pub lru_evicted: u64,
-    /// Artifacts not persisted because they exceeded the per-entry cap.
-    pub skipped_large: u64,
-    /// Writes dropped on I/O failure (the analysis still succeeded).
-    pub write_errors: u64,
-}
-
-impl fmt::Display for StoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "store: {} hits, {} misses, {} writes; evicted {} corrupt, {} version, {} lru; {} skipped large, {} write errors",
-            self.hits,
-            self.misses,
-            self.writes,
-            self.corrupt_evicted,
-            self.version_evicted,
-            self.lru_evicted,
-            self.skipped_large,
-            self.write_errors
-        )
-    }
-}
-
 /// The on-disk artifact store: one checksummed file per analysis result,
 /// shared by every session (and process) pointed at the same directory.
 ///
@@ -362,17 +313,7 @@ impl ArtifactStore {
     /// Snapshot of the traffic counters (per store handle, not global
     /// across processes).
     pub fn stats(&self) -> StoreStats {
-        let c = &self.counters;
-        StoreStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            writes: c.writes.load(Ordering::Relaxed),
-            corrupt_evicted: c.corrupt_evicted.load(Ordering::Relaxed),
-            version_evicted: c.version_evicted.load(Ordering::Relaxed),
-            lru_evicted: c.lru_evicted.load(Ordering::Relaxed),
-            skipped_large: c.skipped_large.load(Ordering::Relaxed),
-            write_errors: c.write_errors.load(Ordering::Relaxed),
-        }
+        self.counters.load()
     }
 
     /// Live entries on disk right now (diagnostics and tests).

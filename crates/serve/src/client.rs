@@ -224,13 +224,15 @@ impl Client {
 
     /// One connect-send-receive attempt.
     fn attempt(&mut self, line: &str) -> Result<String, AttemptError> {
-        if self.conn.is_none() {
-            self.conn = Some(self.connect().map_err(AttemptError::BeforeSend)?);
-            self.stats.connects += 1;
-        }
-        // `conn` was just ensured above; a panic here is unreachable.
-        #[allow(clippy::unwrap_used)]
-        let conn = self.conn.as_mut().unwrap();
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => {
+                let conn = self.connect().map_err(AttemptError::BeforeSend)?;
+                self.stats.connects += 1;
+                conn
+            }
+        };
+        let conn = self.conn.insert(conn);
         // The line and its newline go out in one write, so Nagle never
         // holds the newline back waiting for the server's delayed ACK.
         let send = (|| -> io::Result<()> {

@@ -40,12 +40,14 @@
 //! module is the matching resilient client: connect/read deadlines,
 //! bounded seeded backoff, and retry restricted to idempotent requests.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod client;
 
 use cme_cache::CacheModel;
 use cme_core::api::json::{self, obj, Json};
 use cme_core::api::{AnalyzeRequest, AnalyzeResponse, Error, ErrorCode};
-use cme_core::{Analyzer, ArtifactStore};
+use cme_core::{Analyzer, ArtifactStore, CounterValue, EngineStats};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -437,56 +439,24 @@ impl Server {
         )
     }
 
-    /// The `stats` op payload: server, per-session engine, and store
-    /// counters.
+    /// The `stats` op payload: server counters, the engine counters
+    /// summed over the live sessions, and the store counters, each
+    /// counter under its schema name.
     fn stats_json(&self) -> Json {
         let server = self.stats();
-        let engine = {
-            let sessions = lock(&self.sessions);
-            let mut analyses = 0u64;
-            let mut store_hits = 0u64;
-            let mut store_misses = 0u64;
-            let mut store_writes = 0u64;
-            let mut exhausted = 0u64;
-            let mut sim_classifications = 0u64;
-            let mut sim_writebacks = 0u64;
-            let mut sim_exhausted = 0u64;
-            for slot in sessions.values() {
-                let s = lock(&slot.analyzer).stats();
-                analyses += s.analyses;
-                store_hits += s.store_hits;
-                store_misses += s.store_misses;
-                store_writes += s.store_writes;
-                exhausted += s.exhausted_analyses;
-                sim_classifications += s.sim_classifications;
-                sim_writebacks += s.sim_writebacks;
-                sim_exhausted += s.sim_exhausted;
-            }
-            obj([
-                ("analyses", Json::UInt(analyses)),
-                ("store_hits", Json::UInt(store_hits)),
-                ("store_misses", Json::UInt(store_misses)),
-                ("store_writes", Json::UInt(store_writes)),
-                ("exhausted", Json::UInt(exhausted)),
-                ("sim_classifications", Json::UInt(sim_classifications)),
-                ("writebacks", Json::UInt(sim_writebacks)),
-                ("sim_exhausted", Json::UInt(sim_exhausted)),
-            ])
-        };
+        let mut engine = EngineStats::default();
+        for slot in lock(&self.sessions).values() {
+            engine.merge(&lock(&slot.analyzer).stats());
+        }
+        let wire = |(name, _, value): (&'static str, &str, CounterValue)| (name, value.to_json());
         let store = self.store.as_ref().map(|store| {
-            let s = store.stats();
-            obj([
+            let mut fields = vec![
                 ("dir", Json::Str(store.dir().display().to_string())),
                 ("entries", Json::UInt(store.entry_count() as u64)),
                 ("bytes", Json::UInt(store.total_bytes())),
-                ("hits", Json::UInt(s.hits)),
-                ("misses", Json::UInt(s.misses)),
-                ("writes", Json::UInt(s.writes)),
-                ("lru_evicted", Json::UInt(s.lru_evicted)),
-                ("corrupt_evicted", Json::UInt(s.corrupt_evicted)),
-                ("version_evicted", Json::UInt(s.version_evicted)),
-                ("write_errors", Json::UInt(s.write_errors)),
-            ])
+            ];
+            fields.extend(store.stats().counters().map(wire));
+            obj(fields)
         });
         obj([
             ("requests", Json::UInt(server.requests)),
@@ -502,7 +472,7 @@ impl Server {
             ("oversized_lines", Json::UInt(server.oversized_lines)),
             ("sessions_evicted", Json::UInt(server.sessions_evicted)),
             ("worker_panics", Json::UInt(server.worker_panics)),
-            ("engine", engine),
+            ("engine", obj(engine.counters().map(wire))),
             ("store", store.unwrap_or(Json::Null)),
         ])
     }
@@ -929,8 +899,35 @@ mod tests {
                 "missing {key}"
             );
         }
-
+        // The engine object carries every schema counter, the pre-schema
+        // wire names included.
+        let engine = ok.get("engine").unwrap();
+        for (name, _, _) in EngineStats::default().counters() {
+            assert!(engine.get(name).is_some(), "engine object lacks {name}");
+        }
+        for key in ["exhausted", "writebacks", "sim_classifications"] {
+            assert!(engine.get(key).and_then(Json::as_u64).is_some(), "{key}");
+        }
         shutdown(&server, addr, listener);
+
+        // So does a store-backed server's store object.
+        let dir = temp_dir("stats-store");
+        let server = Server::new(ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.handle_line(&AnalyzeRequest::new("q", mmult(4), spec()).encode());
+        let stats = json::parse(&server.handle_line(r#"{"op":"stats","id":"s"}"#)).unwrap();
+        let store = stats.get("ok").and_then(|ok| ok.get("store")).unwrap();
+        for (name, _, _) in cme_core::StoreStats::default().counters() {
+            assert!(
+                store.get(name).and_then(Json::as_u64).is_some(),
+                "store object lacks {name}"
+            );
+        }
+        assert_eq!(store.get("writes").and_then(Json::as_u64), Some(1));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! in-flight connections within the `--drain-ms` deadline and exits
 //! cleanly.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 use cme_serve::{Server, ServerConfig};
 use std::io;
 use std::net::TcpListener;
