@@ -8,21 +8,18 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cme_cache::{simulate_nest, CacheConfig};
-use cme_core::{AnalysisOptions, Analyzer, CmeSystem, NestAnalysis};
+use cme_core::{Analyzer, CmeSystem, NestAnalysis};
 use cme_ir::LoopNest;
 use cme_kernels::{adi, gauss, mmult, sor, tom, trans};
-use cme_reuse::{reuse_vectors, ReuseOptions};
+use cme_reuse::reuse_vectors;
 
 fn table1_cache() -> CacheConfig {
     CacheConfig::new(8192, 1, 32, 4).unwrap()
 }
 
 /// One uncached analysis — the monolithic miss-finding pass, no memo tables.
-fn baseline(nest: &LoopNest, cache: CacheConfig, options: &AnalysisOptions) -> NestAnalysis {
-    Analyzer::new(cache)
-        .options(options.clone())
-        .caching(false)
-        .analyze(nest)
+fn baseline(nest: &LoopNest, cache: CacheConfig) -> NestAnalysis {
+    Analyzer::new(cache).caching(false).analyze(nest)
 }
 
 /// Reuse-vector computation + symbolic equation generation per kernel
@@ -36,7 +33,7 @@ fn bench_generation(c: &mut Criterion) {
             &nest,
             |b, nest| {
                 b.iter(|| {
-                    let sys = CmeSystem::generate(black_box(nest), cache, &ReuseOptions::default());
+                    let sys = CmeSystem::generate(black_box(nest), cache);
                     black_box(sys.equation_count())
                 })
             },
@@ -56,12 +53,7 @@ fn bench_reuse(c: &mut Criterion) {
             |b, nest| {
                 b.iter(|| {
                     for r in nest.references() {
-                        black_box(reuse_vectors(
-                            nest,
-                            &cache,
-                            r.id(),
-                            &ReuseOptions::default(),
-                        ));
+                        black_box(reuse_vectors(nest, &cache, r.id()));
                     }
                 })
             },
@@ -79,7 +71,7 @@ fn bench_solve(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(nest.name().to_string()),
             &nest,
-            |b, nest| b.iter(|| black_box(baseline(nest, cache, &AnalysisOptions::default()))),
+            |b, nest| b.iter(|| black_box(baseline(nest, cache))),
         );
     }
     g.finish();
@@ -100,59 +92,11 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation: row-summarized window scanning vs the naive pointwise walk
-/// (the DESIGN.md-called-out design choice behind the ~15x Table 1 speedup).
-fn bench_window_scan_ablation(c: &mut Criterion) {
-    let cache = table1_cache();
-    let mut g = c.benchmark_group("window-scan-ablation");
-    g.sample_size(10);
-    let nest = mmult(32);
-    g.bench_function("row-summarized", |b| {
-        b.iter(|| black_box(baseline(&nest, cache, &AnalysisOptions::default())))
-    });
-    g.bench_function("pointwise", |b| {
-        let opts = AnalysisOptions {
-            pointwise_windows: true,
-            ..AnalysisOptions::default()
-        };
-        b.iter(|| black_box(baseline(&nest, cache, &opts)))
-    });
-    g.finish();
-}
-
-/// Ablation: reuse-vector generation scope (basic vs extended vs group).
-fn bench_reuse_scope_ablation(c: &mut Criterion) {
-    let cache = table1_cache();
-    let mut g = c.benchmark_group("reuse-scope-ablation");
-    g.sample_size(10);
-    let nest = mmult(32);
-    for (label, group, extended) in [
-        ("full", true, true),
-        ("no-group", false, true),
-        ("no-extended", true, false),
-    ] {
-        g.bench_function(label, |b| {
-            let opts = AnalysisOptions {
-                reuse: ReuseOptions {
-                    group,
-                    extended,
-                    ..ReuseOptions::default()
-                },
-                ..AnalysisOptions::default()
-            };
-            b.iter(|| black_box(baseline(&nest, cache, &opts)))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_generation,
     bench_reuse,
     bench_solve,
-    bench_simulator,
-    bench_window_scan_ablation,
-    bench_reuse_scope_ablation
+    bench_simulator
 );
 criterion_main!(benches);

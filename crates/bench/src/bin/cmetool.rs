@@ -59,7 +59,6 @@ use cme_core::{
 };
 use cme_kernels::kernel_names;
 use cme_opt::{diagnose, optimize_padding};
-use cme_reuse::ReuseOptions;
 use cme_serve::client::{Client, ClientConfig, Endpoint, Idempotency};
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,7 +172,7 @@ fn main() {
             );
         }
         "equations" => {
-            let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+            let sys = CmeSystem::generate(&nest, cache);
             println!(
                 "# {} equations over {} references",
                 sys.equation_count(),

@@ -7,7 +7,7 @@ use cme_bench::{resolve_kernel, BenchArgs};
 use cme_cache::simulate_nest_outcomes;
 use cme_core::{AnalysisOptions, Analyzer};
 use cme_ir::LoopNest;
-use cme_reuse::{reuse_vectors, ReuseOptions};
+use cme_reuse::reuse_vectors;
 use std::collections::HashSet;
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
             println!("   extra {p:?} along vector #{along}");
         }
         if !extra.is_empty() {
-            let rvs = reuse_vectors(&nest, &cache, ra.dest, &ReuseOptions::default());
+            let rvs = reuse_vectors(&nest, &cache, ra.dest);
             for (vi, rv) in rvs.iter().enumerate().take(25) {
                 println!("   rv#{vi}: {rv}");
             }
@@ -85,16 +85,17 @@ fn main() {
         if let Some(re) = sys.per_ref.first() {
             for g in re.groups.iter().take(1) {
                 for eq in g.replacements.iter().take(4) {
-                    analyzer.engine().count_replacement(eq, &nest);
+                    analyzer.count_replacement(eq, &nest);
                 }
             }
         }
     }
-    println!("\n{}", analyzer.stats());
-    let memo = analyzer.engine().solve_memo();
+    let stats = analyzer.stats();
+    println!("\n{stats}");
+    let lookups = stats.solver_hits + stats.solver_misses;
     println!(
-        "diophantine memo: {} entries, {:.1}% hit rate",
-        memo.len(),
-        memo.hit_rate() * 100.0
+        "diophantine memo: {} lookups, {:.1}% hit rate",
+        lookups,
+        100.0 * stats.solver_hits as f64 / lookups.max(1) as f64
     );
 }

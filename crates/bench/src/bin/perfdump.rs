@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use cme_bench::BenchArgs;
+use cme_cache::CacheConfig;
 use cme_core::api::json::{obj, Json};
 use cme_core::{
     AnalysisOptions, Analyzer, EngineStats, NestAnalysis, SweepParameter, SweepRequest,
@@ -144,7 +145,7 @@ fn main() {
     );
 
     let json = render_json(
-        n,
+        (n, &cache),
         (seq.thread_count(), par_threads),
         &reference,
         reference_s,
@@ -216,7 +217,7 @@ fn counters_json(stats: &EngineStats) -> Json {
 
 #[allow(clippy::too_many_arguments)]
 fn render_json(
-    n: i64,
+    (n, cache): (i64, &CacheConfig),
     (threads_seq, threads_par): (usize, usize),
     reference: &NestAnalysis,
     reference_s: f64,
@@ -229,7 +230,13 @@ fn render_json(
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"kernel\": \"mmult\",\n  \"n\": {n},\n"));
-    s.push_str("  \"cache\": {\"size_bytes\": 8192, \"assoc\": 1, \"line_bytes\": 32, \"elem_bytes\": 4},\n");
+    s.push_str(&format!(
+        "  \"cache\": {{\"size_bytes\": {}, \"assoc\": {}, \"line_bytes\": {}, \"elem_bytes\": {}}},\n",
+        cache.size_bytes(),
+        cache.assoc(),
+        cache.line_bytes(),
+        cache.elem_bytes()
+    ));
     // The cascade rows ran at different pool widths, recorded from the
     // sessions' actual `Analyzer::thread_count()` (a hard-coded 1 /
     // requested count used to go stale when the pool clamped).

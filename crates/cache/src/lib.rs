@@ -41,6 +41,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
 pub mod hierarchy;

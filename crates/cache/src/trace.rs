@@ -65,15 +65,17 @@ pub const GOVERNED_SIM_CHECK_INTERVAL: u64 = 4096;
 /// The one replay loop: walks `nest` once through `sim`, calling
 /// `visit(ref, point, address, outcome)` for every access and
 /// `keep_going(accesses so far)` every [`GOVERNED_SIM_CHECK_INTERVAL`]
-/// accesses. A `false` from `keep_going` abandons the replay with `None`.
-/// `drain` flushes the dirty lines left at the end into `writebacks`.
+/// accesses. A `false` from `keep_going` abandons the replay: the flag
+/// returned with the result is then `false` and the counts cover only the
+/// accesses replayed so far. `drain` flushes the dirty lines left at the
+/// end of a complete replay into `writebacks`.
 fn replay(
     sim: &mut ModelSimulator,
     nest: &LoopNest,
     drain: bool,
     mut keep_going: impl FnMut(u64) -> bool,
     mut visit: impl FnMut(RefId, &[i64], i64, AccessOutcome),
-) -> Option<NestSimResult> {
+) -> (NestSimResult, bool) {
     let wb_before = sim.writebacks();
     let refs: Vec<_> = nest
         .references()
@@ -86,6 +88,7 @@ fn replay(
     let mut per_ref = vec![MissStats::default(); refs.len()];
     let mut space = nest.space();
     let (mut done, mut next_check) = (0u64, GOVERNED_SIM_CHECK_INTERVAL);
+    let mut complete = true;
     while let Some(p) = space.next_point() {
         for (rid, af, is_write) in &refs {
             let addr = af.eval(&p);
@@ -102,20 +105,22 @@ fn replay(
         done += refs.len() as u64;
         if done >= next_check {
             if !keep_going(done) {
-                return None;
+                complete = false;
+                break;
             }
             next_check = done + GOVERNED_SIM_CHECK_INTERVAL;
         }
     }
-    if drain {
+    if drain && complete {
         sim.drain_dirty();
     }
-    Some(NestSimResult {
+    let result = NestSimResult {
         nest_name: nest.name().to_string(),
         per_ref,
         writebacks: sim.writebacks() - wb_before,
         l2_misses: sim.l2().map(Simulator::misses),
-    })
+    };
+    (result, complete)
 }
 
 /// [`replay`] of one nest from a cold `model` cache, ungoverned.
@@ -125,10 +130,8 @@ fn replay_cold(
     visit: impl FnMut(RefId, &[i64], i64, AccessOutcome),
 ) -> NestSimResult {
     let mut sim = ModelSimulator::new(model);
-    replay(&mut sim, nest, true, |_| true, visit).expect(ALWAYS_LIVE)
+    replay(&mut sim, nest, true, |_| true, visit).0
 }
-
-const ALWAYS_LIVE: &str = "an always-live check never aborts the replay";
 
 /// Replays every access of `nest` (from a cold cache) through an LRU
 /// simulator with the given geometry and returns per-reference statistics.
@@ -185,7 +188,8 @@ pub fn simulate_nest_model_governed(
     keep_going: impl FnMut(u64) -> bool,
 ) -> Option<NestSimResult> {
     let mut sim = ModelSimulator::new(model);
-    replay(&mut sim, nest, true, keep_going, |_, _, _, _| {})
+    let (result, complete) = replay(&mut sim, nest, true, keep_going, |_, _, _, _| {});
+    complete.then_some(result)
 }
 
 /// Replays every access of `nest` (from a cold cache) and calls
@@ -258,7 +262,7 @@ pub fn simulate_sequence(nests: &[&LoopNest], config: CacheConfig) -> Vec<NestSi
     let mut sim = ModelSimulator::new(&CacheModel::new(config));
     nests
         .iter()
-        .map(|nest| replay(&mut sim, nest, false, |_| true, |_, _, _, _| {}).expect(ALWAYS_LIVE))
+        .map(|nest| replay(&mut sim, nest, false, |_| true, |_, _, _, _| {}).0)
         .collect()
 }
 

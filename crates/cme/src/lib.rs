@@ -93,7 +93,7 @@ pub use cme_core::api;
 pub use cme_cache::{CacheConfig, CacheConfigError};
 pub use cme_core::{
     AnalysisError, AnalysisOptions, Analyzer, ArtifactKey, ArtifactStore, Budget, CancelToken,
-    CounterValue, Engine, EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, NestId, Outcome,
+    CounterValue, EngineStats, FaultPlan, GovernedAnalysis, NestAnalysis, NestId, Outcome,
     ProgramDb, RefAnalysis, StoreError, StoreStats, SweepMetric, SweepParameter, SweepRecord,
     SweepRequest, SweepResult,
 };

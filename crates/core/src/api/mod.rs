@@ -996,12 +996,9 @@ impl Analyzer {
         let nest = request.parse_program()?;
         let options = request.options()?;
         let budget = request.budget();
-        let threads = self.thread_count();
         let id = self.intern(&nest);
         let hits_before = self.stats().store_hits;
-        let governed = self
-            .engine_mut()
-            .try_analyze_id(id, &options, threads, budget, None)?;
+        let governed = self.run_one(id, &options, budget, None)?;
         let store_hit = self.stats().store_hits > hits_before;
         if model.is_baseline() {
             return Ok(AnalyzeResult::of(&governed, store_hit));
@@ -1010,7 +1007,7 @@ impl Analyzer {
         // *bound* (and performed the address-overflow validation); the
         // exact answer comes from the governed trace replay.
         let lru_bound = governed.analysis.total_misses();
-        let classification = self.engine().classify_model(&nest, &model, budget, None);
+        let classification = self.engine.classify_model(&nest, &model, budget, None);
         Ok(match classification.sim {
             Some(sim) => {
                 let per_ref = governed
@@ -1109,7 +1106,6 @@ impl Analyzer {
                 None => true,
             }
         };
-        let threads = self.thread_count();
         let mut responses: Vec<Option<AnalyzeResponse>> = requests.iter().map(|_| None).collect();
         if uniform {
             let batch: Vec<(usize, &Item)> = items
@@ -1127,10 +1123,7 @@ impl Analyzer {
                 let options = first.options.clone();
                 let budget = first.budget;
                 let hits_before = self.stats().store_hits;
-                match self
-                    .engine_mut()
-                    .try_analyze_batch(&ids, &options, threads, budget, None)
-                {
+                match self.run_batch(&ids, &options, budget, None) {
                     Ok(governed) => {
                         // Per-request hit attribution is coarse for a
                         // batch: flag all batched results when any hit

@@ -1,18 +1,19 @@
 //! The [`Analyzer`] session: cache, options, threading, and budget fixed
-//! as defaults over the staged incremental [`Engine`].
+//! as defaults over the staged incremental engine.
 
 use super::{Engine, EngineStats};
-use crate::equations::CmeSystem;
+use crate::equations::{CmeSystem, ReplacementEquation};
 use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis};
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
 use cme_cache::{CacheConfig, CacheModel};
-use cme_ir::{LoopNest, NestId, RefId};
+use cme_ir::{LoopNest, NestId, ProgramDb, RefId};
 use cme_reuse::ReuseVector;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A configured analysis session: cache, options, and threading fixed as
-/// defaults, with the staged incremental [`Engine`] carrying memoized work
+/// defaults, with the staged incremental engine carrying memoized work
 /// across every `analyze` call.
 ///
 /// ```
@@ -40,7 +41,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug)]
 pub struct Analyzer {
-    engine: Engine,
+    pub(crate) engine: Engine,
     options: AnalysisOptions,
     parallel: bool,
     threads: usize,
@@ -74,13 +75,13 @@ impl Analyzer {
     /// model this is exactly [`Analyzer::new`].
     pub fn with_model(model: CacheModel) -> Self {
         let mut analyzer = Analyzer::new(model.l1());
-        analyzer.engine.set_model(model);
+        analyzer.engine.model = model;
         analyzer
     }
 
     /// The full cache model this session answers for.
     pub fn model(&self) -> &CacheModel {
-        self.engine.model()
+        &self.engine.model
     }
 
     /// Sets the session's per-query resource [`Budget`]. Exhausted
@@ -117,25 +118,27 @@ impl Analyzer {
         self
     }
 
-    /// Enables or disables the engine's memoization.
+    /// Enables or disables the engine's memoization (disabled = every
+    /// analysis rebuilds every stage artifact — the uncached reference
+    /// path; the artifact store is not consulted either).
     pub fn caching(mut self, on: bool) -> Self {
-        self.engine.set_caching(on);
+        self.engine.caching = on;
         self
     }
 
     /// Attaches a persistent [`crate::ArtifactStore`]: complete analyses
     /// are written through to disk and repeated queries (same structure,
     /// layout, geometry, and options — across sessions and processes)
-    /// are answered from the store before any pipeline stage runs. See
-    /// [`Engine::set_store`].
-    pub fn store(mut self, store: std::sync::Arc<crate::store::ArtifactStore>) -> Self {
-        self.engine.set_store(store);
+    /// are answered from the store before any pipeline stage runs.
+    /// Exhausted (budget-truncated) results are never persisted.
+    pub fn store(mut self, store: Arc<crate::store::ArtifactStore>) -> Self {
+        self.engine.store = Some(store);
         self
     }
 
     /// The cache geometry this session analyzes against.
     pub fn cache(&self) -> &CacheConfig {
-        self.engine.cache()
+        &self.engine.cache
     }
 
     /// The session's default options.
@@ -143,17 +146,17 @@ impl Analyzer {
         &self.options
     }
 
-    /// Interns a nest into the session's program database (idempotent).
+    /// Interns a nest into the session's program database (idempotent:
+    /// equal nests share a handle, and therefore every memoized artifact).
     pub fn intern(&mut self, nest: &LoopNest) -> NestId {
-        self.engine.intern(nest)
+        self.engine.db.intern(nest)
     }
 
-    /// Analyzes a nest with the session defaults, interning it first. At
-    /// the default unlimited budget, results are bit-identical to the
-    /// uncached reference path, warm or cold; under a session budget or
-    /// cancellation the counts degrade to a sound overcount (use
-    /// [`Analyzer::try_analyze`] to observe the [`crate::Outcome`] tag).
-    /// Panics on [`AnalysisError`] — worker panic or address overflow.
+    /// Analyzes a nest with the session options at full budget, interning
+    /// it first; results are bit-identical to the uncached reference
+    /// path, warm or cold. The session budget and cancel token govern the
+    /// `try_` entry points and [`Analyzer::analyze_with_options`]. Panics
+    /// on [`AnalysisError`] — worker panic or address overflow.
     pub fn analyze(&mut self, nest: &LoopNest) -> NestAnalysis {
         let id = self.intern(nest);
         self.analyze_id(id)
@@ -161,9 +164,7 @@ impl Analyzer {
 
     /// [`Analyzer::analyze`] for an already-interned nest.
     pub fn analyze_id(&mut self, id: NestId) -> NestAnalysis {
-        let options = self.options.clone();
-        let threads = self.thread_count();
-        self.engine.analyze_id(id, &options, threads)
+        only(self.analyze_batch(&[id]))
     }
 
     /// Analyzes a batch of interned nests in one session call: all
@@ -173,37 +174,44 @@ impl Analyzer {
     /// that nest alone. Panics on [`AnalysisError`].
     pub fn analyze_batch(&mut self, ids: &[NestId]) -> Vec<NestAnalysis> {
         let options = self.options.clone();
-        let threads = self.thread_count();
-        self.engine.analyze_batch(ids, &options, threads)
+        match self.run_batch(ids, &options, Budget::unlimited(), None) {
+            Ok(results) => results.into_iter().map(|g| g.analysis).collect(),
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// Governed batch analysis under the session budget (per nest) and
-    /// cancel token; see [`Engine::try_analyze_batch`].
+    /// Governed batch analysis under the session budget and cancel token:
+    /// each nest runs under its *own* fresh query governor (solve/point
+    /// budgets are per nest; a deadline budget shares the wall clock, so
+    /// later nests see less of it). Exhaustion or cancellation degrades
+    /// instead of failing: unfinished iteration points are counted as
+    /// misses (the paper's `ε > 0` semantics, a sound overcount) and the
+    /// result is tagged [`crate::Outcome::Exhausted`].
     ///
     /// # Errors
     ///
-    /// See [`Engine::try_analyze`]; one failing nest fails the batch.
+    /// [`AnalysisError::WorkerPanic`] when a pool worker panicked (only
+    /// this query is lost; the session and its memo tables stay usable)
+    /// and [`AnalysisError::Overflow`] when a nest's address arithmetic
+    /// cannot be performed in 64 bits. One failing nest fails the batch.
     pub fn try_analyze_batch(
         &mut self,
         ids: &[NestId],
     ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
         let options = self.options.clone();
-        let threads = self.thread_count();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
-        self.engine
-            .try_analyze_batch(ids, &options, threads, budget, cancel.as_ref())
+        self.run_batch(ids, &options, self.budget, self.cancel.clone())
     }
 
-    /// Analyzes with one-off options (e.g. an exact-counting pass) while
-    /// still sharing the session's memo tables. Panics on
-    /// [`AnalysisError`]; see [`Analyzer::try_analyze_with_options`].
+    /// Analyzes with one-off options (e.g. an exact-counting pass) under
+    /// the session budget, still sharing the session's memo tables.
+    /// Panics on [`AnalysisError`].
     pub fn analyze_with_options(
         &mut self,
         nest: &LoopNest,
         options: &AnalysisOptions,
     ) -> NestAnalysis {
-        match self.try_analyze_with_options(nest, options) {
+        let id = self.intern(nest);
+        match self.run_one(id, options, self.budget, self.cancel.clone()) {
             Ok(governed) => governed.analysis,
             Err(e) => panic!("{e}"),
         }
@@ -215,58 +223,44 @@ impl Analyzer {
     ///
     /// # Errors
     ///
-    /// See [`Engine::try_analyze`].
+    /// See [`Analyzer::try_analyze_batch`].
     pub fn try_analyze(&mut self, nest: &LoopNest) -> Result<GovernedAnalysis, AnalysisError> {
-        let options = self.options.clone();
-        self.try_analyze_with_options(nest, &options)
+        let id = self.intern(nest);
+        self.try_analyze_id(id)
     }
 
     /// [`Analyzer::try_analyze`] for an already-interned nest.
     ///
     /// # Errors
     ///
-    /// See [`Engine::try_analyze`].
+    /// See [`Analyzer::try_analyze_batch`].
     pub fn try_analyze_id(&mut self, id: NestId) -> Result<GovernedAnalysis, AnalysisError> {
-        let options = self.options.clone();
-        let threads = self.thread_count();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
-        self.engine
-            .try_analyze_id(id, &options, threads, budget, cancel.as_ref())
+        self.try_analyze_batch(&[id]).map(only)
     }
 
-    /// [`Analyzer::try_analyze`] with one-off options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::try_analyze`].
-    pub fn try_analyze_with_options(
+    /// The one path into the engine: `ids` under `options`, `budget` and
+    /// `cancel` at the session's thread count.
+    pub(crate) fn run_batch(
         &mut self,
-        nest: &LoopNest,
+        ids: &[NestId],
         options: &AnalysisOptions,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
+        budget: Budget,
+        cancel: Option<CancelToken>,
+    ) -> Result<Vec<GovernedAnalysis>, AnalysisError> {
         let threads = self.thread_count();
-        let budget = self.budget;
-        let cancel = self.cancel.clone();
         self.engine
-            .try_analyze(nest, options, threads, budget, cancel.as_ref())
+            .try_analyze_batch(ids, options, threads, budget, cancel.as_ref())
     }
 
-    /// Analyzes with the session options but with miss-point collection
-    /// forced on — the oracle-facing entry point of the differential test
-    /// harness (`cme-diffcheck`), which joins the returned
-    /// replacement/cold miss points against per-access simulator verdicts
-    /// from `cme_cache::simulate_nest_outcomes` to localize a
-    /// disagreement. Shares the session's memo tables: scans always
-    /// record their miss indices in the memo and `collect_miss_points`
-    /// only affects result assembly, so interleaving traced and plain
-    /// runs of the same nest stays fully memoized.
-    pub fn analyze_traced(&mut self, nest: &LoopNest) -> NestAnalysis {
-        let options = AnalysisOptions {
-            collect_miss_points: true,
-            ..self.options.clone()
-        };
-        self.analyze_with_options(nest, &options)
+    /// [`Analyzer::run_batch`] for one interned nest.
+    pub(crate) fn run_one(
+        &mut self,
+        id: NestId,
+        options: &AnalysisOptions,
+        budget: Budget,
+        cancel: Option<CancelToken>,
+    ) -> Result<GovernedAnalysis, AnalysisError> {
+        self.run_batch(&[id], options, budget, cancel).map(only)
     }
 
     /// Analyzes a single reference against caller-supplied reuse vectors
@@ -279,28 +273,17 @@ impl Analyzer {
         dest: RefId,
         rvs: &[ReuseVector],
     ) -> RefAnalysis {
-        crate::solve::solve_reference(nest, *self.engine.cache(), dest, rvs, &self.options)
+        crate::solve::solve_reference(nest, self.engine.cache, dest, rvs, &self.options)
     }
 
     /// The symbolic CME system for a nest (generated, rebased, or reused).
     pub fn system(&mut self, nest: &LoopNest) -> Arc<CmeSystem> {
-        let reuse = self.options.reuse.clone();
-        self.engine.system(nest, &reuse)
+        self.engine.system(nest)
     }
 
     /// Snapshot of the engine's accounting.
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
-    }
-
-    /// Shared access to the underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 
     /// The work-pool width the session's analyses actually run at:
@@ -316,5 +299,44 @@ impl Analyzer {
         } else {
             1
         }
+    }
+
+    /// Test hook: arms an injected panic that fires in the worker that
+    /// claims the `after`-th pool item (counting from 0) of subsequent
+    /// analyses, then disarms itself. Exists to prove the panic boundary:
+    /// the poisoned query returns [`AnalysisError::WorkerPanic`] while the
+    /// session stays usable.
+    #[doc(hidden)]
+    pub fn inject_worker_panic(&self, after: u64) {
+        self.engine.panic_countdown.store(after, Ordering::Relaxed);
+    }
+
+    /// Test hook: the session's interned program database.
+    #[doc(hidden)]
+    pub fn db(&self) -> &ProgramDb {
+        &self.engine.db
+    }
+
+    /// Test hook: the iteration-space size above which nests bypass the
+    /// memos (their point sets would dominate memory). Default: 4M points.
+    #[doc(hidden)]
+    pub fn set_max_cached_points(&mut self, points: u64) {
+        self.engine.max_cached_points = points;
+    }
+
+    /// Diagnostic hook: counts a replacement equation's solutions through
+    /// the session's shared Diophantine solve memo (see
+    /// [`ReplacementEquation::count_solutions_memo`]).
+    #[doc(hidden)]
+    pub fn count_replacement(&self, eq: &ReplacementEquation, nest: &LoopNest) -> u64 {
+        eq.count_solutions_memo(nest, &self.engine.cache, Some(&self.engine.solve_memo))
+    }
+}
+
+/// The single result of a batch of one.
+fn only<T>(mut batch: Vec<T>) -> T {
+    match batch.pop() {
+        Some(one) => one,
+        None => unreachable!("batch of one returns one result"),
     }
 }

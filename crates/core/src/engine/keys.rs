@@ -1,6 +1,6 @@
 //! Invalidation keys of the incremental engine.
 //!
-//! Every cache inside [`crate::Engine`] is keyed by a 128-bit double hash
+//! Every cache inside the engine is keyed by a 128-bit double hash
 //! of exactly the inputs its payload depends on — nothing more, so a
 //! candidate transform that leaves those inputs untouched re-solves from
 //! the cache, and nothing less, so a transform that changes them cannot
@@ -26,6 +26,12 @@
 //! the `u128` key ([`KeyHasher`], hosted by `cme-ir` next to the
 //! interner), making accidental collisions negligible — the memoized
 //! values are exact analysis artifacts, so a collision would be silent.
+//!
+//! Every hash of an [`AnalysisOptions`] field lives in this module. The
+//! artifact store, the sweep memo and the model fingerprint key on
+//! [`options_fingerprint`], which destructures the struct without a rest
+//! pattern: a new option does not compile until it is keyed. The memo
+//! keys below feed only the fields their payload depends on.
 
 use cme_cache::CacheConfig;
 pub(crate) use cme_ir::db::KeyHasher;
@@ -34,21 +40,34 @@ use cme_math::gcd::{floor_div, modulo};
 
 use crate::solve::AnalysisOptions;
 
-/// Hashes everything *every* engine memo depends on: cache geometry,
-/// reuse-vector options, and the interned base-invariant structural hash.
-/// Analysis-mode options are keyed only where they matter — `ε` into the
-/// solve-set key (it truncates the vector sequence), the scan-mode flags
-/// into the scan key — so a plain pass and an exact-counting pass share
-/// solve sets. `collect_miss_points` is keyed nowhere: it only controls
-/// result assembly, never verdicts.
-pub(crate) fn prefix_key(cache: &CacheConfig, options: &AnalysisOptions, structural: u128) -> u128 {
+/// Hashes every [`AnalysisOptions`] field: the options part of every
+/// key that stands for a whole analysis result (store entries, sweep
+/// memo entries). Any option can change the result or its recorded side
+/// data (like collected miss points), so every field lands here.
+pub(crate) fn options_fingerprint(options: &AnalysisOptions) -> u128 {
+    let AnalysisOptions {
+        epsilon,
+        exact_equation_counts,
+        collect_miss_points,
+    } = options;
+    let mut h = KeyHasher::new(0x09f5);
+    h.feed(epsilon)
+        .feed(exact_equation_counts)
+        .feed(collect_miss_points);
+    h.finish()
+}
+
+/// Hashes everything *every* engine memo depends on: the cache geometry
+/// and the interned base-invariant structural hash. It also keys the
+/// generated [`crate::CmeSystem`]s (no bases — a cached system is rebased
+/// on layout changes). Analysis options are keyed only where they
+/// matter — `ε` into the solve-set key (it truncates the vector
+/// sequence), exact counting into the scan key — so a plain pass and an
+/// exact-counting pass share solve sets. `collect_miss_points` is keyed
+/// in no memo: it only controls result assembly, never verdicts.
+pub(crate) fn prefix_key(cache: &CacheConfig, structural: u128) -> u128 {
     let mut h = KeyHasher::new(0x9e37);
     h.feed(cache);
-    h.feed(&options.reuse.group)
-        .feed(&options.reuse.extended)
-        .feed(&options.reuse.max_vectors)
-        .feed(&options.reuse.candidate_budget)
-        .feed(&options.reuse.prune_dominated);
     h.feed(&(structural as u64))
         .feed(&((structural >> 64) as u64));
     h.finish()
@@ -72,7 +91,7 @@ pub(crate) fn cascade_key(
 }
 
 /// Key of one `(reference, reuse-vector)` window-scan result: the prefix
-/// plus the reference and vector indices, the scan-mode flags, and the
+/// plus the reference and vector indices, the exact-count flag, and the
 /// full relative layout — per array, `(B_A mod Ls, ⌊B_A/Ls⌋ − ⌊B_D/Ls⌋)`.
 /// The `ε` threshold is *not* keyed: a vector's scan set is the same under
 /// any `ε` that lets the vector run at all.
@@ -88,31 +107,11 @@ pub(crate) fn scan_key(
     let mut h = KeyHasher::from_prefix(0x5ca9, prefix);
     h.feed(&dest)
         .feed(&vector_index)
-        .feed(&options.exact_equation_counts)
-        .feed(&options.pointwise_windows);
+        .feed(&options.exact_equation_counts);
     for a in nest.arrays() {
         h.feed(&modulo(a.base(), ls));
         h.feed(&(floor_div(a.base(), ls) - dest_q));
     }
-    h.finish()
-}
-
-/// Key of a generated [`crate::CmeSystem`]: cache + reuse options +
-/// structure (no bases — a cached system is rebased on layout changes).
-pub(crate) fn system_key(
-    cache: &CacheConfig,
-    reuse: &cme_reuse::ReuseOptions,
-    structural: u128,
-) -> u128 {
-    let mut h = KeyHasher::new(0x5751);
-    h.feed(cache);
-    h.feed(&reuse.group)
-        .feed(&reuse.extended)
-        .feed(&reuse.max_vectors)
-        .feed(&reuse.candidate_budget)
-        .feed(&reuse.prune_dominated);
-    h.feed(&(structural as u64))
-        .feed(&((structural >> 64) as u64));
     h.finish()
 }
 
@@ -132,31 +131,53 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn prefix_of(cache: &CacheConfig, opts: &AnalysisOptions, nest: &LoopNest) -> u128 {
-        prefix_key(cache, opts, structural_hash(nest))
+    fn prefix_of(cache: &CacheConfig, nest: &LoopNest) -> u128 {
+        prefix_key(cache, structural_hash(nest))
     }
 
     #[test]
     fn prefix_is_base_invariant_but_structure_sensitive() {
         let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-        let opts = AnalysisOptions::default();
-        let k1 = prefix_of(&cache, &opts, &nest_with_bases([0, 100]));
-        let k2 = prefix_of(&cache, &opts, &nest_with_bases([64, 7]));
+        let k1 = prefix_of(&cache, &nest_with_bases([0, 100]));
+        let k2 = prefix_of(&cache, &nest_with_bases([64, 7]));
         assert_eq!(k1, k2, "bases must not affect the structure prefix");
         let mut padded = nest_with_bases([0, 100]);
         let first_array = padded.references()[0].array();
         padded.array_mut(first_array).pad_column_to(9);
         assert_ne!(
             k1,
-            prefix_of(&cache, &opts, &padded),
+            prefix_of(&cache, &padded),
             "column padding changes strides, so the prefix must move"
         );
-        let eps = AnalysisOptions::builder().epsilon(10).build();
-        assert_eq!(
-            k1,
-            prefix_of(&cache, &eps, &nest_with_bases([0, 100])),
-            "epsilon is keyed in the solve set, not the prefix"
-        );
+    }
+
+    #[test]
+    fn every_option_field_moves_the_fingerprint() {
+        let base = AnalysisOptions::default();
+        let sets = [
+            base.clone(),
+            AnalysisOptions {
+                epsilon: 64,
+                ..base.clone()
+            },
+            AnalysisOptions {
+                exact_equation_counts: true,
+                ..base.clone()
+            },
+            AnalysisOptions {
+                collect_miss_points: true,
+                ..base
+            },
+        ];
+        for (i, a) in sets.iter().enumerate() {
+            for b in &sets[i + 1..] {
+                assert_ne!(
+                    options_fingerprint(a),
+                    options_fingerprint(b),
+                    "{a:?} and {b:?} must not alias"
+                );
+            }
+        }
     }
 
     #[test]
@@ -166,8 +187,8 @@ mod tests {
         let opts = AnalysisOptions::default();
         let n1 = nest_with_bases([0, 100]);
         let n2 = nest_with_bases([ls * 3, 177]); // same B_A mod Ls, other array moved
-        let p = prefix_of(&cache, &opts, &n1);
-        assert_eq!(p, prefix_of(&cache, &opts, &n2));
+        let p = prefix_of(&cache, &n1);
+        assert_eq!(p, prefix_of(&cache, &n2));
         assert_eq!(
             cascade_key(p, &n1, &opts, 0, ls),
             cascade_key(p, &n2, &opts, 0, ls)
@@ -201,7 +222,7 @@ mod tests {
         let n1 = nest_with_bases([0, 100]);
         // Whole-layout translation by a multiple of Ls: identical key.
         let n2 = nest_with_bases([5 * ls, 100 + 5 * ls]);
-        let p = prefix_of(&cache, &opts, &n1);
+        let p = prefix_of(&cache, &n1);
         assert_eq!(
             scan_key(p, &n1, &opts, 0, 1, ls),
             scan_key(p, &n2, &opts, 0, 1, ls)

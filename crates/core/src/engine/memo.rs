@@ -19,7 +19,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use cme_ir::{LoopNest, NestId};
-use cme_reuse::ReuseOptions;
 
 use crate::equations::CmeSystem;
 use crate::governor::AnalysisError;
@@ -134,9 +133,9 @@ impl Engine {
     /// The symbolic CME system for a nest: generated once per structure,
     /// *rebased* (address constants only) when only the layout moved, and
     /// returned verbatim when nothing changed. Interns the nest.
-    pub fn system(&mut self, nest: &LoopNest, reuse: &ReuseOptions) -> Arc<CmeSystem> {
+    pub(crate) fn system(&mut self, nest: &LoopNest) -> Arc<CmeSystem> {
         let id = self.db.intern(nest);
-        let key = keys::system_key(&self.cache, reuse, self.db.structural_hash(id));
+        let key = keys::prefix_key(&self.cache, self.db.structural_hash(id));
         let layout = self.db.layout_hash(id);
         {
             let mut map = relock(&self.system_memo);
@@ -154,7 +153,7 @@ impl Engine {
                 return rebased;
             }
         }
-        let system = Arc::new(CmeSystem::generate(nest, self.cache, reuse));
+        let system = Arc::new(CmeSystem::generate(nest, self.cache));
         self.counters
             .systems_generated
             .fetch_add(1, Ordering::Relaxed);
@@ -172,21 +171,11 @@ impl Engine {
         system
     }
 
-    /// Counts a replacement equation's solutions through the shared solve
-    /// memo (see
-    /// [`crate::equations::ReplacementEquation::count_solutions_memo`]).
-    pub fn count_replacement(
-        &self,
-        eq: &crate::equations::ReplacementEquation,
-        nest: &LoopNest,
-    ) -> u64 {
-        eq.count_solutions_memo(nest, &self.cache, Some(&self.solve_memo))
-    }
-
     /// Drops every cached artifact (including lowered nests; the interned
     /// program database itself is kept — handles stay valid). Counters
     /// keep accumulating.
-    pub fn clear_caches(&self) {
+    #[cfg(test)]
+    pub(crate) fn clear_caches(&self) {
         relock(&self.lower_memo).clear();
         relock(&self.reuse_memo).clear();
         relock(&self.cascade_memo).clear();

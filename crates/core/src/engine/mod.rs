@@ -27,7 +27,7 @@
 //!   (constant terms only) onto candidates with new layouts; their
 //!   polytope counts go through a shared [`cme_math::SolveMemo`].
 //!
-//! [`Engine::analyze_batch`] analyzes many interned nests in one call:
+//! [`Analyzer::analyze_batch`] analyzes many interned nests in one call:
 //! every `(nest, reference)` work item and every scan shard of the whole
 //! batch shares one work pool, so small nests cannot leave workers idle,
 //! and all nests share the session's memo tables. Duplicate scan slots
@@ -46,7 +46,7 @@
 
 mod analyzer;
 mod batch;
-mod keys;
+pub(crate) mod keys;
 mod memo;
 mod model;
 mod persist;
@@ -66,7 +66,7 @@ use crate::governor::{AnalysisError, Budget, CancelToken, GovernedAnalysis, Quer
 use crate::solve::{AnalysisOptions, NestAnalysis, RefAnalysis};
 use crate::store::ArtifactStore;
 use cme_cache::{CacheConfig, CacheModel};
-use cme_ir::{LoopNest, NestId, ProgramDb, RefId};
+use cme_ir::{NestId, ProgramDb, RefId};
 use cme_math::SolveMemo;
 use cme_reuse::ReuseVector;
 use stages::cascade::{scan_run_block, shard_weight, split_blocks, CascadeResult};
@@ -80,18 +80,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The staged incremental analysis engine: a fixed cache geometry, an
-/// interned [`ProgramDb`], and per-stage memo tables that carry analysis
-/// artifacts across candidate nests.
-///
-/// Most callers want the [`Analyzer`] wrapper, which fixes options and
-/// threading as session defaults. `Engine` is the per-call-options core
-/// (e.g. the diagnosis pass analyzes the same nest under two option sets).
+/// The staged incremental analysis engine behind every [`Analyzer`]: a
+/// fixed cache geometry, an interned [`ProgramDb`], and per-stage memo
+/// tables that carry analysis artifacts across candidate nests. Options,
+/// threads and budget are per call; the session fixes them.
 #[derive(Debug)]
-pub struct Engine {
+pub(crate) struct Engine {
     cache: CacheConfig,
-    model: CacheModel, // L1 = `cache`; accessors in `engine/model.rs`
+    model: CacheModel, // L1 = `cache`; set by `Analyzer::with_model`
     caching: bool,
+    /// Iteration-space size above which nests bypass the memos (their
+    /// point sets would dominate memory).
     max_cached_points: u64,
     db: ProgramDb,
     lower_memo: Mutex<HashMap<usize, Arc<LoweredNest>>>,
@@ -103,7 +102,7 @@ pub struct Engine {
     store: Option<Arc<ArtifactStore>>,
     counters: Counters,
     /// Test hook: worker items left before an injected panic fires
-    /// (`u64::MAX` = disarmed).
+    /// (`u64::MAX` = disarmed; armed by [`Analyzer::inject_worker_panic`]).
     panic_countdown: AtomicU64,
 }
 
@@ -133,7 +132,7 @@ struct NestCtx {
 
 impl Engine {
     /// A fresh engine for one cache geometry, caching enabled.
-    pub fn new(cache: CacheConfig) -> Self {
+    pub(crate) fn new(cache: CacheConfig) -> Self {
         Engine {
             cache,
             model: CacheModel::new(cache),
@@ -152,16 +151,6 @@ impl Engine {
         }
     }
 
-    /// Test hook: arms an injected panic that fires in the worker that
-    /// claims the `after`-th pool item (counting from 0) of subsequent
-    /// analyses, then disarms itself. Exists to prove the panic boundary:
-    /// the poisoned query returns [`AnalysisError::WorkerPanic`] while the
-    /// session stays usable.
-    #[doc(hidden)]
-    pub fn inject_worker_panic(&self, after: u64) {
-        self.panic_countdown.store(after, Ordering::Relaxed);
-    }
-
     /// Fires the injected test panic when armed and due (the counter wraps
     /// to `u64::MAX` on the firing decrement, disarming the hook).
     fn maybe_inject_panic(&self) {
@@ -173,85 +162,12 @@ impl Engine {
         }
     }
 
-    /// The cache geometry this engine analyzes against.
-    pub fn cache(&self) -> &CacheConfig {
-        &self.cache
-    }
-
-    /// Interns a nest into the engine's program database, returning its
-    /// handle. Idempotent: equal nests share a handle (and therefore every
-    /// memoized artifact).
-    pub fn intern(&mut self, nest: &LoopNest) -> NestId {
-        self.db.intern(nest)
-    }
-
-    /// The engine's interned program database.
-    pub fn db(&self) -> &ProgramDb {
-        &self.db
-    }
-
-    /// Enables or disables memoization (disabled = every analysis rebuilds
-    /// every stage artifact — the uncached reference path).
-    pub fn set_caching(&mut self, on: bool) {
-        self.caching = on;
-    }
-
-    /// Iteration-space size above which nests bypass the memos (their
-    /// point sets would dominate memory). Default: 4M points.
-    pub fn set_max_cached_points(&mut self, points: u64) {
-        self.max_cached_points = points;
-    }
-
-    /// The shared Diophantine/polytope solve memo (for symbolic counting).
-    pub fn solve_memo(&self) -> &Arc<SolveMemo> {
-        &self.solve_memo
-    }
-
-    /// Interns and analyzes a nest at full budget. Panics (with the
-    /// worker's message) if a pool worker panics, and on nests whose
-    /// address arithmetic would overflow — use [`Engine::try_analyze`] for
-    /// the error-returning, budgeted entry point.
-    pub fn analyze(
-        &mut self,
-        nest: &LoopNest,
-        options: &AnalysisOptions,
-        threads: usize,
-    ) -> NestAnalysis {
-        let id = self.intern(nest);
-        self.analyze_id(id, options, threads)
-    }
-
-    /// [`Engine::analyze`] for an already-interned nest.
-    pub fn analyze_id(
-        &mut self,
-        id: NestId,
-        options: &AnalysisOptions,
-        threads: usize,
-    ) -> NestAnalysis {
-        match self.analyze_batch(&[id], options, threads).pop() {
-            Some(analysis) => analysis,
-            None => unreachable!("batch of one returns one result"),
-        }
-    }
-
-    /// Analyzes a batch of interned nests at full budget, sharing one
-    /// work pool and the session memo tables across the whole batch.
-    /// Results are in `ids` order, each bit-identical to analyzing that
-    /// nest alone. Panics like [`Engine::analyze`].
-    pub fn analyze_batch(
-        &mut self,
-        ids: &[NestId],
-        options: &AnalysisOptions,
-        threads: usize,
-    ) -> Vec<NestAnalysis> {
-        match self.try_analyze_batch(ids, options, threads, Budget::unlimited(), None) {
-            Ok(results) => results.into_iter().map(|g| g.analysis).collect(),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The governed entry point: interns and analyzes under `budget`,
-    /// honoring `cancel`, and never panics on the governed path.
+    /// Governed batch analysis: each nest runs under its *own* fresh
+    /// query governor built from `budget` (solve/point budgets are
+    /// per-nest; a deadline budget shares the wall clock, so later nests
+    /// see less of it), all honoring the same `cancel` token. Results are
+    /// in `ids` order with per-nest [`crate::Outcome`] tags.
+    ///
     /// Exhaustion or cancellation degrades instead of failing: unfinished
     /// iteration points are counted as misses (the paper's `ε > 0`
     /// semantics, a sound overcount) and the result is tagged
@@ -261,53 +177,10 @@ impl Engine {
     ///
     /// [`AnalysisError::WorkerPanic`] when a pool worker panicked (only
     /// this query is lost; the session and its memo tables stay usable)
-    /// and [`AnalysisError::Overflow`] when the nest's address arithmetic
-    /// cannot be performed in 64 bits.
-    pub fn try_analyze(
-        &mut self,
-        nest: &LoopNest,
-        options: &AnalysisOptions,
-        threads: usize,
-        budget: Budget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
-        let id = self.intern(nest);
-        self.try_analyze_id(id, options, threads, budget, cancel)
-    }
-
-    /// [`Engine::try_analyze`] for an already-interned nest.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::try_analyze`].
-    pub fn try_analyze_id(
-        &mut self,
-        id: NestId,
-        options: &AnalysisOptions,
-        threads: usize,
-        budget: Budget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<GovernedAnalysis, AnalysisError> {
-        match self
-            .try_analyze_batch(&[id], options, threads, budget, cancel)?
-            .pop()
-        {
-            Some(governed) => Ok(governed),
-            None => unreachable!("batch of one returns one result"),
-        }
-    }
-
-    /// Governed batch analysis: each nest runs under its *own* fresh
-    /// query governor built from `budget` (solve/point budgets are
-    /// per-nest; a deadline budget shares the wall clock, so later nests
-    /// see less of it), all honoring the same `cancel` token. Results are
-    /// in `ids` order with per-nest [`crate::Outcome`] tags.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::try_analyze`]; one failing nest fails the whole
-    /// batch (the session stays usable).
-    pub fn try_analyze_batch(
+    /// and [`AnalysisError::Overflow`] when a nest's address arithmetic
+    /// cannot be performed in 64 bits. One failing nest fails the whole
+    /// batch.
+    pub(crate) fn try_analyze_batch(
         &mut self,
         ids: &[NestId],
         options: &AnalysisOptions,
@@ -364,7 +237,7 @@ impl Engine {
             let lowered = self.lookup_lowered(id)?;
             let fits_memo = lowered.nest.space().count() <= self.max_cached_points;
             let prefix = if self.caching && fits_memo {
-                keys::prefix_key(&cache, options, lowered.structural)
+                keys::prefix_key(&cache, lowered.structural)
             } else {
                 0
             };
@@ -406,7 +279,7 @@ impl Engine {
                 // (governed only at reference granularity).
                 eng.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
                 let t = Instant::now();
-                let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
+                let plan = stages::reuse::build(&ctx.lowered, &cache, id);
                 Counters::add_time(&eng.counters.time_reuse, t.elapsed());
                 let t = Instant::now();
                 let done = crate::solve::solve_reference(nest, cache, id, &plan.rvs, options);
@@ -419,7 +292,7 @@ impl Engine {
                 eng.counters.passthroughs.fetch_add(1, Ordering::Relaxed);
                 eng.counters.reuse_built.fetch_add(1, Ordering::Relaxed);
                 let t = Instant::now();
-                let plan = stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse);
+                let plan = stages::reuse::build(&ctx.lowered, &cache, id);
                 Counters::add_time(&eng.counters.time_reuse, t.elapsed());
                 let t = Instant::now();
                 let solve = Arc::new(stages::solve::build(
@@ -443,9 +316,7 @@ impl Engine {
                 .feed(&ridx)
                 .finish();
             let t = Instant::now();
-            let plan = eng.lookup_reuse(rkey, || {
-                stages::reuse::build(&ctx.lowered, &cache, id, &options.reuse)
-            });
+            let plan = eng.lookup_reuse(rkey, || stages::reuse::build(&ctx.lowered, &cache, id));
             Counters::add_time(&eng.counters.time_reuse, t.elapsed());
             let ckey = keys::cascade_key(ctx.prefix, nest, options, ridx, ls);
             let t = Instant::now();

@@ -43,34 +43,6 @@ pub struct ModelClassification {
 }
 
 impl Engine {
-    /// The full cache model this session answers for (baseline unless
-    /// [`Engine::set_model`] was called).
-    pub fn model(&self) -> &CacheModel {
-        &self.model
-    }
-
-    /// Installs a richer cache model for this session. The model's L1
-    /// geometry must equal the engine's cache — the analytic pipeline
-    /// keeps computing the (LRU) miss equations against that geometry,
-    /// while non-baseline requests additionally go through the
-    /// simulator-backed classify path ([`Engine::classify_model`]) and
-    /// persistent artifacts are keyed under the model
-    /// ([`crate::store::model_fingerprint`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `model.l1()` is not this engine's geometry; the serve
-    /// layers construct the engine *from* the model, so a mismatch is a
-    /// caller bug, never data-dependent.
-    pub fn set_model(&mut self, model: CacheModel) {
-        assert_eq!(
-            model.l1(),
-            *self.cache(),
-            "cache model L1 must match the engine geometry"
-        );
-        self.model = model;
-    }
-
     /// Classifies `nest` under an arbitrary [`CacheModel`] by exact trace
     /// replay, governed by `budget`/`cancel`: each simulated access
     /// charges one budget step, and exhaustion abandons the replay
@@ -81,7 +53,7 @@ impl Engine {
     ///
     /// The caller is responsible for address-overflow validation — in the
     /// serve path the analytic bound runs first and performs it.
-    pub fn classify_model(
+    pub(crate) fn classify_model(
         &self,
         nest: &LoopNest,
         model: &CacheModel,

@@ -7,35 +7,17 @@
 use super::Engine;
 use crate::governor::{GovernedAnalysis, Outcome, QueryGovernor};
 use crate::solve::{AnalysisOptions, NestAnalysis};
-use crate::store::{ArtifactKey, ArtifactStore};
+use crate::store::ArtifactKey;
 use cme_ir::NestId;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 impl Engine {
-    /// Attaches a persistent [`ArtifactStore`]: finished (complete)
-    /// analyses are written through to disk and later queries for the
-    /// same `(structure, layout, geometry, options)` are answered from
-    /// the store before any pipeline stage runs. The store is only
-    /// consulted while caching is on ([`Engine::set_caching`]) — the
-    /// uncached reference path stays a true recompute. Exhausted
-    /// (budget-truncated) results are never persisted.
-    pub fn set_store(&mut self, store: Arc<ArtifactStore>) {
-        self.store = Some(store);
-    }
-
-    /// The attached artifact store, if any.
-    pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.store.as_ref()
-    }
     /// The store key of every nest in the batch, or `None` per slot when
     /// no store is attached. The store mirrors the memo tables' on/off
     /// switch: with caching disabled this is a true recompute and every
     /// slot is `None`. Keys carry the session's full [`cme_cache::CacheModel`]
     /// through the options fingerprint, so a session serving a non-LRU or
-    /// two-level model can never read (or shadow) a baseline artifact;
-    /// for the baseline model the keys are bit-identical to the
-    /// pre-model format.
+    /// two-level model can never read (or shadow) a baseline artifact.
     pub(super) fn artifact_keys(
         &self,
         ids: &[NestId],

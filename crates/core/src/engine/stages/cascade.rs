@@ -10,17 +10,17 @@
 //! tables is independent of the sharding.
 //!
 //! The default mode slides a [`SlidingWindow`] along each run, paying
-//! O(references) per point instead of O(window); exact-count and
-//! pointwise modes fall back to the per-point [`Scanner`] (their verdicts
-//! need per-perpetrator detail the window multiset does not keep), which
-//! still shards fine — contentions are per-point sums.
+//! O(references) per point instead of O(window); exact-count mode falls
+//! back to the per-point [`Scanner`] verdict (it needs per-perpetrator
+//! detail the window multiset does not keep), which still shards fine —
+//! contentions are per-point sums.
 
 use cme_cache::CacheConfig;
 use cme_reuse::ReuseVector;
 
 use crate::governor::QueryGovernor;
 use crate::pointset::SurvivorSet;
-use crate::solve::{scan_interior, scan_interior_pointwise, AnalysisOptions, Scanner};
+use crate::solve::{AnalysisOptions, Scanner};
 use crate::window::{Geom, SlidingWindow, WindowStats};
 
 use super::super::stats::Counters;
@@ -179,9 +179,9 @@ pub(crate) fn scan_run_block(
     // exactly as before (one extra comparison per run).
     let chunk: i64 = if gov.unlimited() { i64::MAX } else { 4096 };
 
-    if options.exact_equation_counts || options.pointwise_windows {
+    if options.exact_equation_counts {
         // Per-point scan.
-        let mut scanner = Scanner::new(cache, addrs, k, options.exact_equation_counts);
+        let mut scanner = Scanner::new(cache, addrs, k, true);
         let mut p = vec![0i64; depth];
         'runs_pointwise: for run in points.runs_in(chunk_lo, chunk_hi) {
             i_buf[..inner].copy_from_slice(run.prefix);
@@ -205,49 +205,12 @@ pub(crate) fn scan_run_block(
                     for l in 0..depth {
                         p[l] = i[l] - r[l];
                     }
-                    let a_dest = dest_addr.eval(i);
-                    let dline = geom.line(a_dest);
-                    scanner.reset(geom.set_of_line(dline), dline);
-                    let mut go = true;
-                    if intra {
-                        for s in (src_idx + 1)..dest_idx {
-                            if !scanner.check(i, s) {
-                                break;
-                            }
-                        }
-                    } else {
-                        // Tail of the source iteration (statements after the
-                        // source).
-                        for s in (src_idx + 1)..nrefs {
-                            if !scanner.check(&p, s) {
-                                go = false;
-                                break;
-                            }
-                        }
-                        // Whole iterations strictly between, row by row.
-                        if go {
-                            go = if options.pointwise_windows {
-                                scan_interior_pointwise(&mut scanner, &space, &p, i)
-                            } else {
-                                scan_interior(&mut scanner, &space, &p, i)
-                            };
-                        }
-                        // Head of the destination iteration (statements before
-                        // dest).
-                        if go {
-                            for s in 0..dest_idx {
-                                if !scanner.check(i, s) {
-                                    break;
-                                }
-                            }
-                        }
+                    let miss =
+                        scanner.window_misses(&space, src_idx, dest_idx, &p, i, dest_addr.eval(i));
+                    for (s, v) in scanner.per_perp.iter().enumerate() {
+                        contentions[s] += v.len() as u64;
                     }
-                    if options.exact_equation_counts {
-                        for (s, v) in scanner.per_perp.iter().enumerate() {
-                            contentions[s] += v.len() as u64;
-                        }
-                    }
-                    if scanner.distinct.len() >= k {
+                    if miss {
                         replacement_misses += 1;
                         let g = run.start + (t - run.lo) as u64;
                         push_miss_span(&mut miss_runs, g, g);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use cme_cache::CacheConfig;
 use cme_ir::RefId;
-use cme_reuse::{reuse_vectors, ReuseOptions, ReuseVector};
+use cme_reuse::{reuse_vectors, ReuseVector};
 
 use super::lower::LoweredNest;
 
@@ -21,13 +21,8 @@ pub(crate) struct ReusePlan {
 }
 
 /// Builds the reuse plan for `dest`.
-pub(crate) fn build(
-    lowered: &LoweredNest,
-    cache: &CacheConfig,
-    dest: RefId,
-    options: &ReuseOptions,
-) -> ReusePlan {
+pub(crate) fn build(lowered: &LoweredNest, cache: &CacheConfig, dest: RefId) -> ReusePlan {
     ReusePlan {
-        rvs: Arc::new(reuse_vectors(&lowered.nest, cache, dest, options)),
+        rvs: Arc::new(reuse_vectors(&lowered.nest, cache, dest)),
     }
 }

@@ -550,7 +550,7 @@ mod tests {
         (0..nest.references().len())
             .map(|d| {
                 let rid = RefId::from_index(d);
-                let plan = super::super::reuse::build(&lowered, cache, rid, &options.reuse);
+                let plan = super::super::reuse::build(&lowered, cache, rid);
                 let solve = refine::<CERTIFY>(&lowered, cache, d, &plan.rvs, &options, &gov);
                 (plan.rvs, solve)
             })

@@ -164,8 +164,9 @@ macro_rules! counter_schema {
 }
 
 counter_schema! {
-    /// Snapshot of an [`Engine`]'s work accounting: per-stage artifacts
-    /// generated vs reused, solver-memo traffic, and per-stage time.
+    /// Snapshot of an [`crate::Analyzer`] session's work accounting:
+    /// per-stage artifacts generated vs reused, solver-memo traffic, and
+    /// per-stage time.
     #[derive(Debug, Clone, Default)]
     pub struct EngineStats in Counters {
         /// Nest analyses run through the engine.
@@ -255,7 +256,7 @@ counter_schema! {
         /// evaluations).
         sweep sum u64 sweep_samples,
         /// Model-simulation classify queries run for non-baseline
-        /// [`cme_cache::CacheModel`]s ([`Engine::classify_model`]).
+        /// [`cme_cache::CacheModel`]s.
         sim sum u64 sim_classifications,
         /// Accesses replayed through the model simulator (including aborted
         /// replays' partial progress).
@@ -419,7 +420,7 @@ impl fmt::Display for StoreStats {
 
 impl Engine {
     /// Snapshot of the engine's accounting.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         EngineStats {
             solver_hits: self.solve_memo.hits(),
             solver_misses: self.solve_memo.misses(),

@@ -32,10 +32,11 @@
 //! range endpoints, random interior) and flags divergence as a
 //! first-class soundness violation.
 
+use super::keys::options_fingerprint;
 use super::Analyzer;
 use crate::governor::AnalysisError;
 use crate::solve::NestAnalysis;
-use crate::store::{options_fingerprint, ArtifactKey, SweepRecord};
+use crate::store::{ArtifactKey, SweepRecord};
 use cme_cache::CacheConfig;
 use cme_ir::{ArrayId, KeyHasher, LoopNest, NestId};
 use cme_math::gcd::gcd;
@@ -381,7 +382,7 @@ impl Analyzer {
 
         if let Some(key) = key {
             if let Some(cached) = self.sweep_memo.get(&key) {
-                let eng = self.engine();
+                let eng = &self.engine;
                 eng.counters.sweep_memo_hits.fetch_add(1, Ordering::Relaxed);
                 let mut hit = cached.clone();
                 hit.memo_hit = true;
@@ -446,7 +447,7 @@ impl Analyzer {
                         memo_hit: false,
                         store_hit: false,
                     };
-                    let eng = self.engine();
+                    let eng = &self.engine;
                     eng.counters.sweeps_fitted.fetch_add(1, Ordering::Relaxed);
                     eng.counters
                         .sweep_samples
@@ -487,7 +488,7 @@ impl Analyzer {
             }
         }
         let (_, best_misses, best_k) = best.unwrap_or((2, u64::MAX, 0));
-        let eng = self.engine();
+        let eng = &self.engine;
         eng.counters.sweeps_fallback.fetch_add(1, Ordering::Relaxed);
         eng.counters
             .sweep_samples
@@ -550,7 +551,7 @@ impl Analyzer {
     /// The session memo key, or `None` when the engine's caching is off
     /// (a sweep on an uncached session is a true recompute).
     fn sweep_key(&self, base_id: NestId, request: &SweepRequest) -> Option<u128> {
-        let eng = self.engine();
+        let eng = &self.engine;
         if !eng.caching {
             return None;
         }
@@ -568,7 +569,7 @@ impl Analyzer {
     }
 
     fn sweep_artifact_key(&self, base_id: NestId) -> ArtifactKey {
-        let eng = self.engine();
+        let eng = &self.engine;
         ArtifactKey::new(
             eng.db.structural_hash(base_id),
             eng.db.layout_hash(base_id),
@@ -578,7 +579,7 @@ impl Analyzer {
     }
 
     fn consult_sweep_store(&self, base_id: NestId, request: &SweepRequest) -> Option<SweepRecord> {
-        let eng = self.engine();
+        let eng = &self.engine;
         let store = eng.store.as_ref()?;
         store.get_sweep(&self.sweep_artifact_key(base_id), request.fingerprint())
     }
@@ -590,7 +591,7 @@ impl Analyzer {
         let certificate = record.certificate();
         let hi = request.count as i64 - 1;
         let (best_k, best) = function.argmin_with(0..=hi, TieBreak::SmallestParameter);
-        self.engine()
+        self.engine
             .counters
             .sweeps_fitted
             .fetch_add(1, Ordering::Relaxed);
@@ -614,7 +615,7 @@ impl Analyzer {
     /// results never reach this point.
     fn persist_sweep(&self, base_id: NestId, request: &SweepRequest, result: &SweepResult) {
         let key = self.sweep_artifact_key(base_id);
-        let eng = self.engine();
+        let eng = &self.engine;
         if let (Some(store), Some(function), Some(cert)) =
             (&eng.store, &result.function, &result.certificate)
         {

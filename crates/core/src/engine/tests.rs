@@ -1,7 +1,7 @@
 use super::*;
 use crate::equations::CmeSystem;
 use crate::governor::Outcome;
-use cme_ir::{AccessKind, NestBuilder};
+use cme_ir::{AccessKind, LoopNest, NestBuilder};
 use std::time::Duration;
 
 fn matmul(n: i64, bz: i64, bx: i64, by: i64) -> LoopNest {
@@ -46,7 +46,6 @@ fn engine_matches_reference_with_epsilon_and_exact() {
         AnalysisOptions::builder()
             .exact_equation_counts(true)
             .build(),
-        AnalysisOptions::builder().pointwise_windows(true).build(),
     ] {
         let nest = matmul(8, 0, 4096, 8192);
         let reference = crate::solve::solve_nest(&nest, cache, &opts);
@@ -109,8 +108,8 @@ fn governed_batch_tags_outcomes_per_nest() {
     let degraded = cancelled.try_analyze_batch(&ids).unwrap();
     for (g, id) in degraded.iter().zip(ids) {
         assert!(g.outcome.is_exhausted());
-        let space: u64 = cancelled.engine().db().nest(id).space().count();
-        let per_ref = cancelled.engine().db().nest(id).references().len() as u64;
+        let space: u64 = cancelled.db().nest(id).space().count();
+        let per_ref = cancelled.db().nest(id).references().len() as u64;
         assert_eq!(g.analysis.total_misses(), space * per_ref);
     }
 }
@@ -146,15 +145,14 @@ fn moving_one_array_reuses_other_cascades() {
 #[test]
 fn system_cache_generates_rebases_and_reuses() {
     let cache = CacheConfig::new(1024, 1, 32, 4).unwrap();
-    let reuse = cme_reuse::ReuseOptions::default();
     let mut engine = Engine::new(cache);
     let n1 = matmul(8, 0, 128, 256);
-    let s1 = engine.system(&n1, &reuse);
-    let s1b = engine.system(&n1, &reuse);
+    let s1 = engine.system(&n1);
+    let s1b = engine.system(&n1);
     assert!(Arc::ptr_eq(&s1, &s1b));
     let n2 = matmul(8, 8, 130, 300);
-    let s2 = engine.system(&n2, &reuse);
-    assert_eq!(*s2, CmeSystem::generate(&n2, cache, &reuse));
+    let s2 = engine.system(&n2);
+    assert_eq!(*s2, CmeSystem::generate(&n2, cache));
     let stats = engine.stats();
     assert_eq!(stats.systems_generated, 1);
     assert_eq!(stats.systems_rebased, 1);
@@ -168,7 +166,7 @@ fn clear_caches_resets_tables_not_counters() {
     let nest = matmul(6, 0, 100, 200);
     let mut analyzer = Analyzer::new(cache);
     analyzer.analyze(&nest);
-    analyzer.engine().clear_caches();
+    analyzer.engine.clear_caches();
     let reference = crate::solve::solve_nest(&nest, cache, &AnalysisOptions::default());
     assert_eq!(analyzer.analyze(&nest), reference);
     let stats = analyzer.stats();
@@ -258,13 +256,18 @@ fn stats_hit_rate_counts_all_four_memo_families() {
     assert!((stats.memo_hit_rate() - 0.5).abs() < 1e-12);
 }
 
+/// The session defaults with miss-point collection on.
+fn traced_options() -> AnalysisOptions {
+    AnalysisOptions::builder().collect_miss_points(true).build()
+}
+
 #[test]
 fn traced_analysis_collects_points_and_stays_memoized() {
     let cache = CacheConfig::new(1024, 2, 32, 4).unwrap();
     let nest = matmul(8, 0, 100, 200);
     let mut analyzer = Analyzer::new(cache);
     let plain = analyzer.analyze(&nest);
-    let traced = analyzer.analyze_traced(&nest);
+    let traced = analyzer.analyze_with_options(&nest, &traced_options());
     assert_eq!(traced.total_misses(), plain.total_misses());
     let collected: usize = traced
         .per_ref
@@ -288,7 +291,7 @@ fn traced_miss_points_at_k8_run_compress_losslessly() {
     use crate::pointset::{PointSet, RunSet};
     let cache = CacheConfig::new(512, 8, 16, 4).unwrap();
     let nest = matmul(8, 0, 100, 200);
-    let traced = Analyzer::new(cache).analyze_traced(&nest);
+    let traced = Analyzer::new(cache).analyze_with_options(&nest, &traced_options());
     assert!(traced.total_misses() > 0, "degenerate fixture");
     for (ri, r) in traced.per_ref.iter().enumerate() {
         let mut pts: Vec<Vec<i64>> = r

@@ -12,7 +12,7 @@
 use cme_cache::CacheConfig;
 use cme_ir::{LoopNest, RefId};
 use cme_math::{Affine, Interval};
-use cme_reuse::{reuse_vectors, ReuseOptions, ReuseVector};
+use cme_reuse::{reuse_vectors, ReuseVector};
 use std::fmt;
 
 /// Cold miss equation for one reference along one reuse vector
@@ -410,12 +410,12 @@ impl CmeSystem {
     /// Figure 3: compute reuse vectors per reference, then for each vector
     /// form the cold equation and the replacement equations against every
     /// reference.
-    pub fn generate(nest: &LoopNest, cache: CacheConfig, reuse_options: &ReuseOptions) -> Self {
+    pub fn generate(nest: &LoopNest, cache: CacheConfig) -> Self {
         let per_ref = nest
             .references()
             .iter()
             .map(|dest| {
-                let rvs = reuse_vectors(nest, &cache, dest.id(), reuse_options);
+                let rvs = reuse_vectors(nest, &cache, dest.id());
                 let groups = rvs
                     .into_iter()
                     .map(|rv| build_group(nest, &cache, dest.id(), rv))
@@ -528,7 +528,7 @@ mod tests {
     #[test]
     fn paper_equation5_form() {
         let (nest, cache) = eq5_setting();
-        let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+        let sys = CmeSystem::generate(&nest, cache);
         let z_load = &sys.per_ref[0];
         // Find the group for the spatial reuse vector (0,0,1).
         let group = z_load
@@ -561,7 +561,7 @@ mod tests {
     #[test]
     fn contention_detects_same_set_distinct_line() {
         let (nest, cache) = eq5_setting();
-        let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+        let sys = CmeSystem::generate(&nest, cache);
         let group = &sys.per_ref[0]
             .groups
             .iter()
@@ -591,18 +591,11 @@ mod tests {
     #[test]
     fn cold_equation_boundary_semantics() {
         let (nest, cache) = eq5_setting();
-        // Pruning keeps only the most recent source per same-gap family;
-        // this test inspects the *full* equation set, self group included.
-        let opts = ReuseOptions {
-            prune_dominated: false,
-            ..ReuseOptions::default()
-        };
-        let sys = CmeSystem::generate(&nest, cache, &opts);
-        let group = sys.per_ref[0]
-            .groups
-            .iter()
-            .find(|g| g.reuse.vector() == [0, 0, 1] && g.reuse.source().index() == 0)
-            .unwrap();
+        // The Z load's own self-spatial vector (pruning may keep the store
+        // as the family's source instead, so the group is built directly).
+        let z_load = nest.references()[0].id();
+        let rv = ReuseVector::new(vec![0, 0, 1], z_load, cme_reuse::ReuseKind::SelfSpatial, 1);
+        let group = build_group(&nest, &cache, z_load, rv);
         // j = 1: first access along (0,0,1) -> cold solution.
         assert!(group.cold.is_solution(&nest, &cache, &[1, 1, 1]));
         // j = 2..4 share the line of j = 1 (4-element lines, aligned base).
@@ -686,7 +679,7 @@ mod tests {
         b.reference(z, AccessKind::Write, &[("j", 0), ("i", 0)]);
         let nest = b.build().unwrap();
         let cache = CacheConfig::new(256, 1, 16, 4).unwrap(); // 64 elements
-        let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+        let sys = CmeSystem::generate(&nest, cache);
         let mut checked = 0;
         for re in &sys.per_ref {
             for g in re.groups.iter().take(3) {
@@ -718,7 +711,7 @@ mod tests {
         b.reference(c, AccessKind::Write, &[("i", 0), ("k", 0)]);
         let nest = b.build().unwrap();
         let cache = CacheConfig::new(256, 1, 16, 4).unwrap();
-        let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+        let sys = CmeSystem::generate(&nest, cache);
         for re in &sys.per_ref {
             for g in re.groups.iter().take(2) {
                 for eq in &g.replacements {
@@ -750,8 +743,8 @@ mod tests {
         let cache = CacheConfig::new(256, 1, 16, 4).unwrap();
         let nest_a = build([0, 64, 128]);
         let nest_b = build([8, 77, 160]); // shifted bases, same structure
-        let sys_a = CmeSystem::generate(&nest_a, cache, &ReuseOptions::default());
-        let fresh_b = CmeSystem::generate(&nest_b, cache, &ReuseOptions::default());
+        let sys_a = CmeSystem::generate(&nest_a, cache);
+        let fresh_b = CmeSystem::generate(&nest_b, cache);
         let rebased_b = sys_a.rebase_to(&nest_b);
         assert_eq!(rebased_b, fresh_b);
 
@@ -773,7 +766,7 @@ mod tests {
     #[test]
     fn system_covers_every_reference_and_counts_equations() {
         let (nest, cache) = eq5_setting();
-        let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+        let sys = CmeSystem::generate(&nest, cache);
         assert_eq!(sys.per_ref.len(), 4);
         for (i, re) in sys.per_ref.iter().enumerate() {
             assert_eq!(re.dest.index(), i);

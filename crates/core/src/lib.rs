@@ -94,7 +94,7 @@ mod window;
 pub use accuracy::{compare_with_simulation, AccuracyRow};
 pub use cme_ir::{NestId, ProgramDb};
 pub use engine::{
-    Analyzer, CounterValue, Engine, EngineStats, ModelClassification, SweepMetric, SweepParameter,
+    Analyzer, CounterValue, EngineStats, ModelClassification, SweepMetric, SweepParameter,
     SweepRequest, SweepResult,
 };
 pub use equations::{CmeSystem, ColdEquation, EquationGroup, RefEquations, ReplacementEquation};

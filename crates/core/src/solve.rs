@@ -26,15 +26,13 @@ use cme_ir::{LoopNest, RefId};
 use cme_math::Affine;
 #[cfg(test)]
 use cme_reuse::reuse_vectors;
-use cme_reuse::{ReuseOptions, ReuseVector};
+use cme_reuse::ReuseVector;
 use std::fmt;
 
 /// Options controlling the miss-finding algorithm (used by every
 /// [`crate::Analyzer`] entry point).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisOptions {
-    /// How reuse vectors are generated.
-    pub reuse: ReuseOptions,
     /// Stop refining a reference once its indeterminate set has at most this
     /// many points (the `ε` of Figure 6); remaining points are counted as
     /// misses. `0` gives the exact answer.
@@ -46,11 +44,6 @@ pub struct AnalysisOptions {
     /// [`RefAnalysis`] — the raw material for interactive analysis
     /// (Section 5.2). Memory-heavy for big nests.
     pub collect_miss_points: bool,
-    /// Scan reuse windows point by point instead of row-summarized
-    /// (an ablation knob: the row-summarized scanner finds conflicting
-    /// lines in O(conflicts) per innermost row via modular arithmetic;
-    /// this flag restores the naive O(points·refs) walk for comparison).
-    pub pointwise_windows: bool,
 }
 
 impl AnalysisOptions {
@@ -100,12 +93,6 @@ pub struct AnalysisOptionsBuilder {
 }
 
 impl AnalysisOptionsBuilder {
-    /// Sets the reuse-vector generation knobs.
-    pub fn reuse(mut self, reuse: ReuseOptions) -> Self {
-        self.options.reuse = reuse;
-        self
-    }
-
     /// Sets the `ε` early-stop threshold of Figure 6 (`0` = exact).
     pub fn epsilon(mut self, epsilon: u64) -> Self {
         self.options.epsilon = epsilon;
@@ -121,12 +108,6 @@ impl AnalysisOptionsBuilder {
     /// Records concrete miss points in the result.
     pub fn collect_miss_points(mut self, on: bool) -> Self {
         self.options.collect_miss_points = on;
-        self
-    }
-
-    /// Scans reuse windows point by point (ablation knob).
-    pub fn pointwise_windows(mut self, on: bool) -> Self {
-        self.options.pointwise_windows = on;
         self
     }
 
@@ -356,6 +337,45 @@ impl<'a> Scanner<'a> {
         self.check_addr(s, addr)
     }
 
+    /// Evaluates one point's reuse window — the per-point verdict of
+    /// Figure 6 — and returns whether the destination access at `a_dest`
+    /// misses (at least `k` distinct conflicting lines). The window is the
+    /// tail of the source iteration `p` (statements after `src`), every
+    /// iteration strictly between `p` and `i`, and the head of the
+    /// destination iteration `i` (statements before `dest`); when `p == i`
+    /// (intra-iteration reuse) it is the statements strictly between the
+    /// two. In exact mode `per_perp` holds the per-perpetrator lines
+    /// afterwards.
+    pub(crate) fn window_misses(
+        &mut self,
+        space: &cme_ir::IterationSpace<'_>,
+        src: usize,
+        dest: usize,
+        p: &[i64],
+        i: &[i64],
+        a_dest: i64,
+    ) -> bool {
+        self.reset(self.cache.cache_set(a_dest), self.cache.memory_line(a_dest));
+        if p == i {
+            for s in (src + 1)..dest {
+                if !self.check(i, s) {
+                    break;
+                }
+            }
+        } else {
+            let go = ((src + 1)..self.addrs.len()).all(|s| self.check(p, s))
+                && scan_interior(self, space, p, i);
+            if go {
+                for s in 0..dest {
+                    if !self.check(i, s) {
+                        break;
+                    }
+                }
+            }
+        }
+        self.distinct.len() >= self.k
+    }
+
     /// Processes a whole arithmetic progression of accesses by perpetrator
     /// `s`: addresses `base, base+stride, …` (`count` of them) — one
     /// innermost-loop row. Only the accesses mapping to the victim's cache
@@ -432,28 +452,6 @@ impl<'a> Scanner<'a> {
         }
         true
     }
-}
-
-/// Naive interior scan: visits every point and every reference — the
-/// baseline the row-summarized scanner is measured against.
-pub(crate) fn scan_interior_pointwise(
-    scanner: &mut Scanner<'_>,
-    space: &cme_ir::IterationSpace<'_>,
-    p: &[i64],
-    i: &[i64],
-) -> bool {
-    let nrefs = scanner.addrs.len();
-    let mut go = true;
-    space.for_each_between(p, i, |q| {
-        for s in 0..nrefs {
-            if !scanner.check(q, s) {
-                go = false;
-                return false;
-            }
-        }
-        true
-    });
-    go
 }
 
 /// Scans the interior of a reuse window — every iteration point strictly
@@ -582,48 +580,13 @@ pub(crate) fn solve_reference(
                 cold_solutions += 1;
                 return;
             }
-            // Scan the reuse window for distinct same-set conflicts.
-            scanner.reset(cache.cache_set(a_dest), dest_line);
-            let mut go = true;
-            if intra {
-                for s in (src_idx + 1)..dest_idx {
-                    if !scanner.check(i, s) {
-                        break;
-                    }
-                }
-                let _ = go;
-            } else {
-                // Tail of the source iteration (statements after the source).
-                for s in (src_idx + 1)..nrefs {
-                    if !scanner.check(&p, s) {
-                        go = false;
-                        break;
-                    }
-                }
-                // Whole iterations strictly between, scanned row by row
-                // (or point by point under the ablation flag).
-                if go {
-                    go = if options.pointwise_windows {
-                        scan_interior_pointwise(&mut scanner, &space, &p, i)
-                    } else {
-                        scan_interior(&mut scanner, &space, &p, i)
-                    };
-                }
-                // Head of the destination iteration (statements before dest).
-                if go {
-                    for s in 0..dest_idx {
-                        if !scanner.check(i, s) {
-                            break;
-                        }
-                    }
-                }
-            }
+            let miss = scanner.window_misses(&space, src_idx, dest_idx, &p, i, a_dest);
             if options.exact_equation_counts {
                 for (s, v) in scanner.per_perp.iter().enumerate() {
                     eqn[s] += v.len() as u64;
                 }
             }
-            if scanner.distinct.len() >= k {
+            if miss {
                 repl_here += 1;
                 if options.collect_miss_points {
                     repl_points.push((i.to_vec(), rv_index));
@@ -706,7 +669,7 @@ pub(crate) fn solve_nest(
         .references()
         .iter()
         .map(|r| {
-            let rvs = reuse_vectors(nest, &cache, r.id(), &options.reuse);
+            let rvs = reuse_vectors(nest, &cache, r.id());
             solve_reference(nest, cache, r.id(), &rvs, options)
         })
         .collect();
@@ -970,9 +933,8 @@ mod tests {
         assert!(ok.collect_miss_points);
         let exact = AnalysisOptions::builder()
             .exact_equation_counts(true)
-            .pointwise_windows(true)
             .build();
-        assert!(exact.exact_equation_counts && exact.pointwise_windows);
+        assert!(exact.exact_equation_counts);
         let err = AnalysisOptions::builder()
             .epsilon(1)
             .exact_equation_counts(true)

@@ -1,9 +1,9 @@
 //! The persistent artifact store: classify-stage results on disk,
 //! surviving the process.
 //!
-//! The in-memory memo tables ([`crate::Engine`]) already carry per-stage
-//! artifacts across the candidate nests of one optimizer search; this
-//! module extends the outermost artifact — the finished
+//! The in-memory memo tables of an [`crate::Analyzer`] session already
+//! carry per-stage artifacts across the candidate nests of one optimizer
+//! search; this module extends the outermost artifact — the finished
 //! [`NestAnalysis`] — across *processes*, so a repeated query (a
 //! re-started search, a second `cme-serve` client, a corpus replay)
 //! costs one file read instead of a full pipeline run.
@@ -35,6 +35,7 @@
 //! I/O failures never fail an analysis: a read error is a miss, a write
 //! error is counted ([`StoreStats::write_errors`]) and dropped.
 
+use crate::engine::keys::options_fingerprint;
 use crate::engine::stats::StoreCounters;
 pub use crate::engine::stats::StoreStats;
 use crate::faults::{FaultPlan, ReadFault, WriteFault};
@@ -83,8 +84,8 @@ pub struct ArtifactKey {
     pub layout: u128,
     /// Cache geometry as `[size, assoc, line, elem]` bytes.
     pub cache: [i64; 4],
-    /// Fingerprint of the [`AnalysisOptions`]
-    /// ([`options_fingerprint`]).
+    /// Fingerprint of every [`AnalysisOptions`] field, extended with the
+    /// cache model for non-baseline models ([`model_fingerprint`]).
     pub options_fp: u128,
 }
 
@@ -113,9 +114,8 @@ impl ArtifactKey {
     /// [`CacheModel`]: the replacement/write policy and the optional L2
     /// are folded into the options fingerprint
     /// ([`model_fingerprint`]), so artifacts produced under different
-    /// models can never alias — while the baseline model (single-level
-    /// LRU write-back) produces keys bit-identical to
-    /// [`ArtifactKey::new`], keeping every pre-model store entry valid.
+    /// models can never alias, while the baseline model (single-level
+    /// LRU write-back) produces keys equal to [`ArtifactKey::new`].
     pub fn for_model(
         structural: u128,
         layout: u128,
@@ -158,29 +158,12 @@ impl ArtifactKey {
     }
 }
 
-/// Hashes every analysis-relevant field of [`AnalysisOptions`] into the
-/// store key. Any option that can change the result (or its recorded
-/// side data, like collected miss points) must land here.
-pub fn options_fingerprint(options: &AnalysisOptions) -> u128 {
-    let mut h = KeyHasher::new(0x09f5);
-    h.feed(&options.epsilon)
-        .feed(&options.exact_equation_counts)
-        .feed(&options.collect_miss_points)
-        .feed(&options.pointwise_windows)
-        .feed(&options.reuse.group)
-        .feed(&options.reuse.extended)
-        .feed(&options.reuse.max_vectors)
-        .feed(&options.reuse.candidate_budget);
-    h.finish()
-}
-
-/// [`options_fingerprint`] extended with the [`CacheModel`]: for the
-/// baseline model (single-level LRU write-back — the geometry already in
-/// [`ArtifactKey::cache`]) this returns *exactly*
-/// `options_fingerprint(options)`, so every store key minted before the
-/// model existed stays valid; any other policy, write handling, or L2
-/// perturbs the fingerprint and can never alias a baseline artifact (or
-/// another model's).
+/// The fingerprint of every [`AnalysisOptions`] field extended with the
+/// [`CacheModel`]: for the baseline model (single-level LRU write-back —
+/// the geometry already in [`ArtifactKey::cache`]) this is the options
+/// fingerprint alone; any other policy, write handling, or L2 perturbs
+/// the fingerprint and can never alias a baseline artifact (or another
+/// model's).
 pub fn model_fingerprint(options: &AnalysisOptions, model: &CacheModel) -> u128 {
     let base = options_fingerprint(options);
     if model.is_baseline() {
@@ -1088,7 +1071,6 @@ mod tests {
     fn distinct_options_get_distinct_keys() {
         let exact = AnalysisOptions::default();
         let eps = AnalysisOptions::builder().epsilon(100).build();
-        assert_ne!(options_fingerprint(&exact), options_fingerprint(&eps));
         let cfg = CacheConfig::new(1024, 2, 32, 4).unwrap();
         let a = ArtifactKey::new(1, 2, &cfg, &exact);
         let b = ArtifactKey::new(1, 2, &cfg, &eps);

@@ -896,6 +896,29 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Naive interior scan: visits every point strictly between `p` and
+    /// `i` and every reference — the reference the row-summarized
+    /// [`crate::solve::scan_interior`] is checked against.
+    fn scan_interior_pointwise(
+        scanner: &mut Scanner<'_>,
+        space: &IterationSpace<'_>,
+        p: &[i64],
+        i: &[i64],
+    ) -> bool {
+        let nrefs = scanner.addrs.len();
+        let mut go = true;
+        space.for_each_between(p, i, |q| {
+            for s in 0..nrefs {
+                if !scanner.check(q, s) {
+                    go = false;
+                    return false;
+                }
+            }
+            true
+        });
+        go
+    }
+
     /// Reference window census: per-point evaluation of every access
     /// strictly between `p` and `i`.
     fn naive_counts(
@@ -1223,7 +1246,7 @@ mod tests {
                     crate::solve::scan_interior(&mut rowwise, &space, &p, i);
                     let mut pointwise = Scanner::new(&cache, &addrs, k, true);
                     pointwise.reset(dset, dline);
-                    crate::solve::scan_interior_pointwise(&mut pointwise, &space, &p, i);
+                    scan_interior_pointwise(&mut pointwise, &space, &p, i);
                     prop_assert_eq!(rowwise.distinct.len(), pointwise.distinct.len());
                     prop_assert_eq!(
                         w.distinct_excluding(dset, dline),

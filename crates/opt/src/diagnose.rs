@@ -258,12 +258,13 @@ fn recommend(
     let cross_c: u64 = per_ref.iter().map(|r| r.cross_conflict).sum();
     let mut recs: Vec<(u64, Recommendation)> = Vec::new();
 
-    if cross_c > 0 {
-        // Blame the dominant (victim array, perpetrator array) pair.
-        let worst = per_ref
-            .iter()
-            .max_by_key(|r| r.cross_conflict)
-            .expect("non-empty refs");
+    // Blame the dominant (victim array, perpetrator array) pair; a
+    // reference with cross conflicts exists exactly when `cross_c > 0`.
+    if let Some(worst) = per_ref
+        .iter()
+        .filter(|r| r.cross_conflict > 0)
+        .max_by_key(|r| r.cross_conflict)
+    {
         let victim_arr = nest.reference(worst.dest).array();
         let perp = worst
             .contentions
@@ -284,11 +285,11 @@ fn recommend(
             ));
         }
     }
-    if self_c > 0 {
-        let worst = per_ref
-            .iter()
-            .max_by_key(|r| r.self_conflict)
-            .expect("non-empty refs");
+    if let Some(worst) = per_ref
+        .iter()
+        .filter(|r| r.self_conflict > 0)
+        .max_by_key(|r| r.self_conflict)
+    {
         recs.push((
             self_c,
             Recommendation::IntraVariablePadding {

@@ -19,6 +19,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod diagnose;
 pub mod fusion;

@@ -31,7 +31,7 @@ use cme_ir::{ArrayId, LoopNest, RefId};
 use cme_math::diophantine::type1_has_no_solution;
 use cme_math::gcd::{ceil_log2, floor_log2, gcd, two_adic_valuation};
 use cme_math::{Affine, Interval};
-use cme_reuse::{reuse_vectors, ReuseOptions};
+use cme_reuse::reuse_vectors;
 use std::fmt;
 
 /// Why no conflict-free padding could be constructed.
@@ -214,14 +214,13 @@ fn collect_pairs(nest: &LoopNest, cache: &CacheConfig) -> Vec<PairData> {
     let space_box = nest.space().bounding_box();
     let ls = cache.line_elems();
     let b_range = Interval::new(-(ls - 1), ls - 1);
-    let reuse_opts = ReuseOptions::default();
     let mut pairs = Vec::new();
     let widths: Vec<i64> = space_box
         .iter()
         .map(|b| if b.is_empty() { 0 } else { b.hi - b.lo })
         .collect();
     for victim in nest.references() {
-        let rvs = reuse_vectors(nest, cache, victim.id(), &reuse_opts);
+        let rvs = reuse_vectors(nest, cache, victim.id());
         // The paper's implementation considers only the nearest reuse vector.
         let Some(nearest) = rvs.first() else { continue };
         let dbox = delta_box(nearest.vector(), &widths);

@@ -27,7 +27,7 @@
 //! ```
 //! use cme_cache::CacheConfig;
 //! use cme_ir::{AccessKind, NestBuilder};
-//! use cme_reuse::{reuse_vectors, ReuseOptions};
+//! use cme_reuse::reuse_vectors;
 //!
 //! // The paper's matmul nest, Z(j,i) load (Figure 8 uses line size 8).
 //! let mut b = NestBuilder::new();
@@ -37,7 +37,7 @@
 //! let nest = b.build().unwrap();
 //! let cfg = CacheConfig::new(8192, 1, 32, 4)?; // 8 elements per line
 //!
-//! let rvs = reuse_vectors(&nest, &cfg, zl, &ReuseOptions::default());
+//! let rvs = reuse_vectors(&nest, &cfg, zl);
 //! let vecs: Vec<&[i64]> = rvs.iter().map(|r| r.vector()).collect();
 //! assert!(vecs.contains(&&[0, 0, 1][..]));  // self-spatial r1
 //! assert!(vecs.contains(&&[0, 1, -7][..])); // extended r2
@@ -47,6 +47,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use cme_cache::CacheConfig;
 use cme_ir::{Affine, LoopNest, RefId};
@@ -150,71 +151,44 @@ impl fmt::Display for ReuseVector {
     }
 }
 
-/// Tuning knobs for reuse-vector generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReuseOptions {
-    /// Generate group reuse between uniformly generated references.
-    pub group: bool,
-    /// Generate the paper's extended vectors (`t⃗ + m·s⃗`).
-    pub extended: bool,
-    /// Hard cap on the number of vectors returned (lexicographically
-    /// smallest — i.e. most recent — vectors win). This is the
-    /// precision-vs-time knob of Section 4.1.
-    pub max_vectors: usize,
-    /// Cap on candidate vectors *examined* during generation; enumeration
-    /// visits small (recent) lattice shifts first, so exhausting the budget
-    /// drops only long-distance reuse.
-    pub candidate_budget: usize,
-    /// Drop vectors that are provably redundant for the lex-ordered
-    /// miss-finding refinement (Figure 6): over a **rectangular** iteration
-    /// space, a vector `r₂` whose constant address gap equals that of an
-    /// earlier (lex-smaller) vector `r₁` lying componentwise between `0⃗`
-    /// and `r₂` can never classify a point the earlier vector did not —
-    /// same gap means the same same-line condition, and betweenness makes
-    /// `i⃗ − r₂ ∈ space ⇒ i⃗ − r₁ ∈ space`. Pruning such vectors changes no
-    /// miss count; it only skips dead refinement walks. Ignored (never
-    /// applied) for non-rectangular spaces, where the implication fails.
-    pub prune_dominated: bool,
-}
+/// Cap on the number of vectors returned per reference (the
+/// lexicographically smallest — i.e. most recent — vectors win).
+const MAX_VECTORS: usize = 16_384;
 
-impl Default for ReuseOptions {
-    fn default() -> Self {
-        ReuseOptions {
-            group: true,
-            extended: true,
-            max_vectors: 16_384,
-            candidate_budget: 400_000,
-            prune_dominated: true,
-        }
-    }
-}
-
-/// [`reuse_vectors`] for a nest interned in a [`cme_ir::ProgramDb`] — the
-/// handle-based spelling used by staged pipelines that never pass owned
-/// nests around.
-pub fn reuse_vectors_for(
-    db: &cme_ir::ProgramDb,
-    id: cme_ir::NestId,
-    cache: &CacheConfig,
-    dest: RefId,
-    options: &ReuseOptions,
-) -> Vec<ReuseVector> {
-    reuse_vectors(db.nest(id), cache, dest, options)
-}
+/// Cap on candidate vectors *examined* during generation; enumeration
+/// visits small (recent) lattice shifts first, so exhausting the budget
+/// drops only long-distance reuse.
+const CANDIDATE_BUDGET: usize = 400_000;
 
 /// Computes the reuse vectors of `dest`, sorted in lexicographically
 /// increasing order (the processing order of the miss-finding algorithm,
 /// Figure 6), with intra-iteration (zero-vector) group reuse first and, for
 /// equal vectors, later-statement sources first (they are more recent).
 ///
+/// Self, group and extended vectors are all generated. Over a
+/// **rectangular** iteration space, vectors that are provably redundant for
+/// the lex-ordered refinement are dropped: a vector `r₂` whose constant
+/// address gap equals that of an earlier (lex-smaller) vector `r₁` lying
+/// componentwise between `0⃗` and `r₂` can never classify a point the
+/// earlier vector did not — same gap means the same same-line condition,
+/// and betweenness makes `i⃗ − r₂ ∈ space ⇒ i⃗ − r₁ ∈ space`. Pruning such
+/// vectors changes no miss count; it only skips dead refinement walks. It
+/// is never applied to non-rectangular spaces, where the implication fails.
+///
 /// The returned set is *sound but not necessarily complete*: every returned
 /// vector is a genuine reuse direction; directions not returned only make
 /// the downstream miss count conservative.
-pub fn reuse_vectors(
+pub fn reuse_vectors(nest: &LoopNest, cache: &CacheConfig, dest: RefId) -> Vec<ReuseVector> {
+    enumerate_reuse_vectors(nest, cache, dest, nest.space().is_rectangular())
+}
+
+/// [`reuse_vectors`] with dominance pruning selectable: `prune = false`
+/// exposes the full enumeration to the unit tests.
+fn enumerate_reuse_vectors(
     nest: &LoopNest,
     cache: &CacheConfig,
     dest: RefId,
-    options: &ReuseOptions,
+    prune: bool,
 ) -> Vec<ReuseVector> {
     let depth = nest.depth();
     let line = cache.line_elems();
@@ -232,19 +206,18 @@ pub fn reuse_vectors(
     // are rare by construction — one vector solves `lin·v = d − shift`
     // for exactly one `d` per source.
     let mut out: Vec<ReuseVector> = Vec::new();
-    let mut budget = options.candidate_budget;
+    let mut budget = CANDIDATE_BUDGET;
     // Every vector emitted for one `(source, d)` pair shares the constant
     // gap `d` (the lattice shifts lie in the kernel of the address form),
     // so the dominance rule applies within the family as candidates
     // stream by — the spiral visits near-zero shifts first, which are
     // exactly the dominators, keeping the family list tiny and skipping
     // the allocation for the O(extent) dominated tail.
-    let prune_inline = options.prune_dominated && nest.space().is_rectangular();
     let mut family: Vec<Vec<i64>> = Vec::new();
 
     for src in nest.references() {
         let is_self = src.id() == dest;
-        if !is_self && (!options.group || !nest.uniformly_generated(src.id(), dest)) {
+        if !is_self && !nest.uniformly_generated(src.id(), dest) {
             continue;
         }
         let src_addr = nest.address_affine(src.id());
@@ -254,7 +227,6 @@ pub fn reuse_vectors(
         let shift = dest_addr.constant_term() - src_addr.constant_term();
         let lin = src_addr.coeffs().to_vec();
         let (basis, pivots) = kernel_lattice_of_form(&lin);
-        let t_clip = if options.extended { i64::MAX } else { 1 };
 
         // For every achievable same-line address delta d (|d| < Ls), the
         // reuse directions are the integer solutions of lin·v = d − shift
@@ -268,7 +240,7 @@ pub fn reuse_vectors(
             };
             family.clear();
             let mut emit = |v: &[i64]| -> bool {
-                let dominated = prune_inline
+                let dominated = prune
                     && family
                         .iter()
                         .any(|r1| lex_cmp(r1, v) == Ordering::Less && componentwise_between(r1, v));
@@ -283,14 +255,14 @@ pub fn reuse_vectors(
                         v,
                         &mut out,
                     )
-                    && prune_inline
+                    && prune
                 {
                     family.push(v.to_vec());
                 }
                 budget = budget.saturating_sub(1);
                 budget > 0
             };
-            if !enumerate_lattice(&part, &basis, &pivots, &widths, t_clip, &mut emit) {
+            if !enumerate_lattice(&part, &basis, &pivots, &widths, &mut emit) {
                 break 'dloop;
             }
         }
@@ -301,15 +273,15 @@ pub fn reuse_vectors(
 
     sort_reuse_vectors(&mut out);
     out.dedup_by(|a, b| a.vector == b.vector && a.source == b.source);
-    if options.prune_dominated && nest.space().is_rectangular() {
+    if prune {
         prune_dominated(&mut out);
     }
-    out.truncate(options.max_vectors);
+    out.truncate(MAX_VECTORS);
     out
 }
 
 /// Removes vectors dominated under the rectangular-space rule documented
-/// on [`ReuseOptions::prune_dominated`]. `out` must already be in final
+/// on [`reuse_vectors`]. `out` must already be in final
 /// processing order: the refinement examines a shrinking survivor chain,
 /// so an earlier vector with the same constant gap sees a superset of any
 /// later vector's points — every point the later vector would send to a
@@ -391,7 +363,6 @@ fn enumerate_lattice(
     basis: &[Vec<i64>],
     pivots: &[usize],
     widths: &[i64],
-    t_clip: i64,
     emit: &mut impl FnMut(&[i64]) -> bool,
 ) -> bool {
     // A component settled at level `idx` — touched by `basis[idx]` but by
@@ -422,7 +393,6 @@ fn enumerate_lattice(
         basis: &[Vec<i64>],
         settled: &[Vec<usize>],
         widths: &[i64],
-        t_clip: i64,
         emit: &mut impl FnMut(&[i64]) -> bool,
     ) -> bool {
         if idx == basis.len() {
@@ -432,8 +402,8 @@ fn enumerate_lattice(
             return true;
         }
         let b = &basis[idx];
-        let mut lo = -t_clip;
-        let mut hi = t_clip;
+        let mut lo = -i64::MAX;
+        let mut hi = i64::MAX;
         for &c in &settled[idx] {
             let bc = b[c];
             let w = widths[c];
@@ -462,7 +432,7 @@ fn enumerate_lattice(
             for (c, bv) in cur.iter_mut().zip(b) {
                 *c += t * bv;
             }
-            let keep_going = rec(cur, idx + 1, basis, settled, widths, t_clip, emit);
+            let keep_going = rec(cur, idx + 1, basis, settled, widths, emit);
             for (c, bv) in cur.iter_mut().zip(b) {
                 *c -= t * bv;
             }
@@ -473,7 +443,7 @@ fn enumerate_lattice(
         true
     }
     let mut cur = part.to_vec();
-    rec(&mut cur, 0, basis, &settled, widths, t_clip, emit)
+    rec(&mut cur, 0, basis, &settled, widths, emit)
 }
 
 /// Yields `0`-adjacent values first: the t in `[lo, hi]` closest to zero,
@@ -538,7 +508,7 @@ mod tests {
     fn matmul_z_load_has_paper_vectors() {
         let nest = matmul(32);
         let z_load = nest.references()[0].id();
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_load, &ReuseOptions::default());
+        let rvs = reuse_vectors(&nest, &table1_cache(), z_load);
         let has = |v: &[i64]| rvs.iter().any(|r| r.vector() == v);
         assert!(has(&[0, 0, 1]), "self-spatial r1");
         assert!(has(&[0, 1, -7]), "extended r2");
@@ -556,7 +526,7 @@ mod tests {
         let nest = matmul(32);
         let z_load = nest.references()[0].id();
         let z_store = nest.references()[3].id();
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_store, &ReuseOptions::default());
+        let rvs = reuse_vectors(&nest, &table1_cache(), z_store);
         let zero = rvs
             .iter()
             .find(|r| r.is_intra_iteration())
@@ -574,11 +544,7 @@ mod tests {
         let z_load = nest.references()[0].id();
         // Pruning keeps only the most recent source of each constant-gap
         // family; disable it here to inspect the full classification.
-        let full = ReuseOptions {
-            prune_dominated: false,
-            ..ReuseOptions::default()
-        };
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_load, &full);
+        let rvs = enumerate_reuse_vectors(&nest, &table1_cache(), z_load, false);
         let kind_of = |v: &[i64], src: RefId| {
             rvs.iter()
                 .find(|r| r.vector() == v && r.source() == src)
@@ -600,16 +566,8 @@ mod tests {
         let nest = matmul(32);
         let z_load = nest.references()[0].id();
         let z_store = nest.references()[3].id();
-        let pruned = reuse_vectors(&nest, &table1_cache(), z_load, &ReuseOptions::default());
-        let full = reuse_vectors(
-            &nest,
-            &table1_cache(),
-            z_load,
-            &ReuseOptions {
-                prune_dominated: false,
-                ..ReuseOptions::default()
-            },
-        );
+        let pruned = reuse_vectors(&nest, &table1_cache(), z_load);
+        let full = enumerate_reuse_vectors(&nest, &table1_cache(), z_load, false);
         assert!(
             pruned.len() < full.len(),
             "matmul's constant-gap families must shrink ({} vs {})",
@@ -648,7 +606,7 @@ mod tests {
         let nest = matmul(32);
         let cache = table1_cache();
         for r in nest.references() {
-            for rv in reuse_vectors(&nest, &cache, r.id(), &ReuseOptions::default()) {
+            for rv in reuse_vectors(&nest, &cache, r.id()) {
                 assert!(rv.delta().abs() < cache.line_elems());
             }
         }
@@ -665,7 +623,7 @@ mod tests {
         let xw = b.reference(x, AccessKind::Write, &[("i", 0), ("k", 0)]);
         let nest = b.build().unwrap();
         let x_load = nest.references()[0].id();
-        let rvs = reuse_vectors(&nest, &table1_cache(), x_load, &ReuseOptions::default());
+        let rvs = reuse_vectors(&nest, &table1_cache(), x_load);
         let g = rvs
             .iter()
             .find(|r| r.vector() == [1, 0] && r.source() == xw)
@@ -682,36 +640,12 @@ mod tests {
         let right = b.reference(a, AccessKind::Read, &[("i", 0), ("j", 1)]);
         let left = b.reference(a, AccessKind::Read, &[("i", 0), ("j", -1)]);
         let nest = b.build().unwrap();
-        let rvs = reuse_vectors(&nest, &table1_cache(), left, &ReuseOptions::default());
+        let rvs = reuse_vectors(&nest, &table1_cache(), left);
         assert!(
             rvs.iter()
                 .any(|r| r.vector() == [0, 2] && r.source() == right && r.delta() == 0),
             "A(i,j-1) at j reuses A(i,j+1) from j-2: {rvs:?}"
         );
-    }
-
-    #[test]
-    fn max_vectors_caps_output() {
-        let nest = matmul(32);
-        let z_load = nest.references()[0].id();
-        let opts = ReuseOptions {
-            max_vectors: 2,
-            ..ReuseOptions::default()
-        };
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_load, &opts);
-        assert_eq!(rvs.len(), 2);
-    }
-
-    #[test]
-    fn no_group_options_disables_group_vectors() {
-        let nest = matmul(32);
-        let z_store = nest.references()[3].id();
-        let opts = ReuseOptions {
-            group: false,
-            ..ReuseOptions::default()
-        };
-        let rvs = reuse_vectors(&nest, &table1_cache(), z_store, &opts);
-        assert!(rvs.iter().all(|r| r.source() == z_store));
     }
 
     #[test]

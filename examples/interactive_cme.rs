@@ -8,7 +8,6 @@
 use cme::cache::CacheConfig;
 use cme::core::{AnalysisOptions, Analyzer, CmeSystem};
 use cme::kernels::mmult_with_bases;
-use cme::reuse::ReuseOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: i64 = std::env::args()
@@ -20,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Nest:\n{nest}\nCache: {cache}\n");
 
     // The symbolic system (what the optimizers manipulate).
-    let system = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+    let system = CmeSystem::generate(&nest, cache);
     for re in &system.per_ref {
         let label = nest.reference(re.dest).label();
         println!("reference {label}: {} reuse vectors", re.groups.len());

@@ -9,7 +9,6 @@
 use cme::cache::{simulate_nest, CacheConfig};
 use cme::core::{Analyzer, CmeSystem};
 use cme::kernels::mmult;
-use cme::reuse::ReuseOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 64;
@@ -21,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Cache: {cache}\n");
 
     // 1. Generate the symbolic equation system (Figure 3).
-    let system = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+    let system = CmeSystem::generate(&nest, cache);
     println!(
         "Generated {} cache miss equations across {} references.",
         system.equation_count(),

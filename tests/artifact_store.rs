@@ -6,7 +6,8 @@
 //! the engine *recomputes* — never panics, never serves a stale or
 //! damaged artifact. Also pins the two safety invariants of the write
 //! path: exhausted (governor-truncated) analyses are never persisted, and
-//! the LRU size bound actually bounds the directory.
+//! the LRU size bound actually bounds the directory; and that entries
+//! written under one option set are never served under another.
 
 use cme::core::store::{ArtifactKey, ArtifactStore};
 use cme::core::{Analyzer, Budget};
@@ -32,7 +33,7 @@ fn plain(nest: &LoopNest, cache: CacheConfig) -> cme::NestAnalysis {
 fn key_of(nest: &LoopNest, cache: &CacheConfig) -> ArtifactKey {
     let mut analyzer = Analyzer::new(*cache);
     let id = analyzer.intern(nest);
-    let db = analyzer.engine().db();
+    let db = analyzer.db();
     ArtifactKey::new(
         db.structural_hash(id),
         db.layout_hash(id),
@@ -73,6 +74,54 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// One store shared by every option set: an entry written under one set
+/// is never served under another. Each set writes the nest through a
+/// session of its own, then a fresh session per set reads it back, and
+/// every read equals a fresh uncached analysis under the reader's options
+/// — per-vector reports and miss points included.
+#[test]
+fn option_sets_never_alias_in_one_store() {
+    let dir = temp_dir("options");
+    let cache = CacheConfig::new(1024, 2, 32, 4).unwrap();
+    let nest = cme::kernels::mmult(10);
+    let sets = [
+        AnalysisOptions::default(),
+        AnalysisOptions::builder().epsilon(64).build(),
+        AnalysisOptions::builder()
+            .exact_equation_counts(true)
+            .build(),
+        AnalysisOptions::builder().collect_miss_points(true).build(),
+    ];
+    let fresh: Vec<_> = sets
+        .iter()
+        .map(|o| {
+            Analyzer::new(cache)
+                .options(o.clone())
+                .caching(false)
+                .analyze(&nest)
+        })
+        .collect();
+    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+    for (writer_opts, expect) in sets.iter().zip(&fresh) {
+        let mut writer = Analyzer::new(cache)
+            .options(writer_opts.clone())
+            .store(Arc::clone(&store));
+        assert_eq!(&writer.analyze(&nest), expect, "writer {writer_opts:?}");
+        for (reader_opts, expect) in sets.iter().zip(&fresh) {
+            let mut reader = Analyzer::new(cache)
+                .options(reader_opts.clone())
+                .store(Arc::clone(&store));
+            assert_eq!(
+                &reader.analyze(&nest),
+                expect,
+                "written under {writer_opts:?}, read under {reader_opts:?}"
+            );
+        }
+    }
+    assert_eq!(store.entry_count(), sets.len(), "one entry per option set");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -50,8 +50,8 @@ fn caches() -> Vec<CacheConfig> {
 }
 
 /// Option sets exercising every cascade path: fast (early-exit) windows,
-/// exact contention counts, ε early stop, and the pointwise ablation —
-/// each with miss-point collection so point sets are compared too.
+/// exact contention counts, and ε early stop — each with miss-point
+/// collection so point sets are compared too.
 fn option_sets() -> Vec<AnalysisOptions> {
     vec![
         AnalysisOptions::builder().collect_miss_points(true).build(),
@@ -62,10 +62,6 @@ fn option_sets() -> Vec<AnalysisOptions> {
         AnalysisOptions::builder()
             .collect_miss_points(true)
             .epsilon(64)
-            .build(),
-        AnalysisOptions::builder()
-            .collect_miss_points(true)
-            .pointwise_windows(true)
             .build(),
     ]
 }
@@ -92,7 +88,7 @@ fn assert_cascade_matches_reference(
         .options(opts.clone())
         .parallel(true)
         .threads(4);
-    big.engine_mut().set_max_cached_points(1);
+    big.set_max_cached_points(1);
     let uncached = big.analyze(nest);
     assert_eq!(reference, uncached, "uncached fast path diverged: {what}");
     reference

@@ -34,10 +34,7 @@ fn option_sets() -> Vec<AnalysisOptions> {
         AnalysisOptions::builder()
             .exact_equation_counts(true)
             .build(),
-        AnalysisOptions::builder()
-            .collect_miss_points(true)
-            .pointwise_windows(true)
-            .build(),
+        AnalysisOptions::builder().collect_miss_points(true).build(),
     ]
 }
 

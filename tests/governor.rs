@@ -198,7 +198,7 @@ fn worker_panic_poisons_one_query_not_the_session() {
     let mut analyzer = Analyzer::new(cache).parallel(true).threads(3);
     let baseline = analyzer.analyze(&nest);
 
-    analyzer.engine().inject_worker_panic(0);
+    analyzer.inject_worker_panic(0);
     let err = analyzer
         .try_analyze(&nest)
         .expect_err("armed injection must fail the query");

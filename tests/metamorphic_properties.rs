@@ -154,30 +154,14 @@ proptest! {
         .total_misses();
         prop_assert!(loose >= exact);
     }
-
-    /// The pointwise window-scan ablation is semantics-preserving: both
-    /// scanners produce identical analyses.
-    #[test]
-    fn row_scan_equals_pointwise_scan(
-        nest in arb_nest(NestDistribution::default()),
-        cache in arb_cache(),
-    ) {
-        let fast = baseline(&nest, cache, &opts());
-        let slow = baseline(
-            &nest,
-            cache,
-            &AnalysisOptions { pointwise_windows: true, ..opts() },
-        );
-        prop_assert_eq!(fast, slow);
-    }
 }
 
 /// Explicit replays of the recorded proptest counterexamples in
 /// `tests/proptest-regressions/metamorphic_properties.txt`. The vendored
 /// offline proptest stub does not auto-load regression files, so every
 /// recorded case is reconstructed here and run through the whole
-/// `(nest, cache)` property battery — soundness, uniform exactness,
-/// parallel bit-identity, and scan-ablation identity — on every test run.
+/// `(nest, cache)` property battery — soundness, uniform exactness, and
+/// parallel bit-identity — on every test run.
 mod regressions {
     use super::*;
     use cme::core::NestAnalysis;
@@ -205,18 +189,6 @@ mod regressions {
                 .parallel(true)
                 .analyze(nest),
             "parallel analyzer diverged\n{nest}"
-        );
-        assert_eq!(
-            analysis,
-            baseline(
-                nest,
-                cache,
-                &AnalysisOptions {
-                    pointwise_windows: true,
-                    ..opts()
-                },
-            ),
-            "pointwise ablation diverged\n{nest}"
         );
         analysis
     }

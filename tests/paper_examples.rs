@@ -6,7 +6,7 @@ use cme::cache::CacheConfig;
 use cme::core::{AnalysisOptions, Analyzer, CmeSystem};
 use cme::ir::{AccessKind, LoopNest, NestBuilder};
 use cme::kernels::mmult_with_bases;
-use cme::reuse::{reuse_vectors, ReuseKind, ReuseOptions, ReuseVector};
+use cme::reuse::{reuse_vectors, ReuseKind, ReuseVector};
 
 /// Section 2.4: "the cache set of the reference Z(j,i) ... is given by
 /// ⌊(4192 + 32i + j − 1)/4⌋ mod 128" for an 8KB 2-way cache with 128 sets
@@ -35,7 +35,7 @@ fn section_2_4_cache_set_expression() {
 fn equation_5_replacement_cme() {
     let cache = CacheConfig::new(8192, 2, 32, 8).unwrap();
     let nest = mmult_with_bases(32, 4192, 2136, 96);
-    let sys = CmeSystem::generate(&nest, cache, &ReuseOptions::default());
+    let sys = CmeSystem::generate(&nest, cache);
     let group = sys.per_ref[0]
         .groups
         .iter()
@@ -118,7 +118,7 @@ fn figure_8_vectors_suffice_for_z() {
     ];
     let mut analyzer = Analyzer::new(cache);
     let restricted = analyzer.analyze_reference_with_vectors(&nest, z_load, &three);
-    let auto_rvs = reuse_vectors(&nest, &cache, z_load, &ReuseOptions::default());
+    let auto_rvs = reuse_vectors(&nest, &cache, z_load);
     let full = analyzer.analyze_reference_with_vectors(&nest, z_load, &auto_rvs);
     assert!(restricted.total_misses() >= full.total_misses());
 }

@@ -18,7 +18,7 @@
 
 use cme::cache::CacheConfig;
 use cme::core::Analyzer;
-use cme::reuse::{reuse_vectors, ReuseOptions};
+use cme::reuse::reuse_vectors;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -45,7 +45,7 @@ fn render(nest: &cme::ir::LoopNest, cache: CacheConfig) -> String {
     let per_ref_vectors: Vec<usize> = nest
         .references()
         .iter()
-        .map(|r| reuse_vectors(nest, &cache, r.id(), &ReuseOptions::default()).len())
+        .map(|r| reuse_vectors(nest, &cache, r.id()).len())
         .collect();
     writeln!(out, "reuse: vectors-per-ref={per_ref_vectors:?}").unwrap();
     for r in &analysis.per_ref {
